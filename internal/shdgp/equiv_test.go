@@ -13,6 +13,7 @@ import (
 	"mobicol/internal/obs"
 	"mobicol/internal/par"
 	"mobicol/internal/tsp"
+	"mobicol/internal/wsn"
 )
 
 // dropRedundantOracle is the pre-cache fixed-point implementation, kept
@@ -134,30 +135,60 @@ func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen []int) bool {
 	return moved
 }
 
+// TestRelocateStopsMatchesOracle pins relocateStops — coverer lists for
+// stops with critical sensors, a candidate range query for stops without
+// — to the full-scan oracle over several passes, on uniform fields up to
+// n=2000 and on a clustered one.
 func TestRelocateStopsMatchesOracle(t *testing.T) {
-	for seed := uint64(10); seed < 16; seed++ {
-		p := deploy(160, 240, 30, seed)
-		inst, err := p.Instance()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		chosen, err := inst.Greedy(p.Net.Sink)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		got := append([]int(nil), chosen...)
-		want := append([]int(nil), chosen...)
-		gotMoved := relocateStops(p, inst, got, newRefineScratch(inst))
-		wantMoved := relocateStopsOracle(p, inst, want)
-		if gotMoved != wantMoved {
-			t.Fatalf("seed %d: moved=%v, oracle %v", seed, gotMoved, wantMoved)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: stop %d relocated to %d, oracle chose %d",
-					seed, i, got[i], want[i])
+	cases := []struct {
+		name  string
+		cfg   wsn.Config
+		seeds []uint64
+	}{
+		{"uniform-160", wsn.Config{N: 160, FieldSide: 240, Range: 30}, []uint64{10, 11, 12, 13, 14, 15}},
+		{"uniform-2000", wsn.Config{N: 2000, FieldSide: 200 * math.Sqrt(20), Range: 30}, []uint64{1, 2}},
+		{"clustered-400", wsn.Config{N: 400, FieldSide: 400, Range: 30, Placement: wsn.Clustered}, []uint64{3, 4, 5}},
+	}
+	rangeQueried := false
+	for _, tc := range cases {
+		for _, seed := range tc.seeds {
+			cfg := tc.cfg
+			cfg.Seed = seed
+			p := NewProblem(wsn.MustDeploy(cfg))
+			inst, err := p.Instance()
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 			}
+			chosen, err := inst.Greedy(p.Net.Sink)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			got := append([]int(nil), chosen...)
+			want := append([]int(nil), chosen...)
+			rs := newRefineScratch(inst)
+			for pass := 0; pass < 3; pass++ {
+				gotMoved := relocateStops(p, inst, got, rs)
+				wantMoved := relocateStopsOracle(p, inst, want)
+				if gotMoved != wantMoved {
+					t.Fatalf("%s seed %d pass %d: moved=%v, oracle %v", tc.name, seed, pass, gotMoved, wantMoved)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s seed %d pass %d: stop %d relocated to %d, oracle chose %d",
+							tc.name, seed, pass, i, got[i], want[i])
+					}
+				}
+				if !gotMoved {
+					break
+				}
+			}
+			// The candidate index is built only when a stop without
+			// critical sensors needs the range query.
+			rangeQueried = rangeQueried || rs.cands != nil
 		}
+	}
+	if !rangeQueried {
+		t.Fatal("no case took the no-critical-sensor branch; the range query went untested")
 	}
 }
 

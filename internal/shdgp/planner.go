@@ -2,6 +2,7 @@ package shdgp
 
 import (
 	"fmt"
+	"slices"
 
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
@@ -113,6 +114,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 		}
 		spRefine.SetInt("passes", int64(ran))
 		spRefine.SetInt("dropped", int64(coverStops-len(chosen)))
+		spRefine.Count("shdgp.relocate_evals", rs.relocateEvals)
 		spRefine.End()
 	}
 
@@ -150,9 +152,10 @@ func algorithmName(opts PlannerOptions) string {
 
 // refineScratch holds the buffers the refinement passes share: coverage
 // counts, the per-sensor coverer lists (transposed covers), the
-// critical-sensor scratch, and the tour-neighbour arrays. Plan builds one
-// per call and reuses it across every refinement pass, so the passes
-// themselves stay allocation-free.
+// critical-sensor scratch, the tour-neighbour arrays, and the spatial
+// index over the candidates. Plan builds one per call and reuses it
+// across every refinement pass, so the passes themselves stay
+// allocation-free.
 type refineScratch struct {
 	counts []int // counts[s] = kept stops covering sensor s
 	// Transpose of the instance's CSR covers: sensor s is covered by
@@ -163,6 +166,13 @@ type refineScratch struct {
 	pts      []geom.Point // sink + stop positions for the proxy tour
 	prev     []geom.Point // prev[i] = tour predecessor of stop i
 	next     []geom.Point // next[i] = tour successor of stop i
+	// cands indexes the instance's candidates for the relocation range
+	// query; nil until a stop without critical sensors first needs it.
+	cands *geom.GridIndex
+	hits  []int // range-query hits, reused across stops
+	// relocateEvals counts the candidates relocateStops has evaluated
+	// (the "shdgp.relocate_evals" counter).
+	relocateEvals int64
 }
 
 // newRefineScratch sizes the buffers for the instance. The coverer lists
@@ -198,6 +208,17 @@ func newRefineScratch(inst *cover.Instance) *refineScratch {
 		}
 	}
 	return rs
+}
+
+// candidateIndex returns the spatial index over the instance's
+// candidates, building it on first use.
+//
+//mdglint:allow-alloc(the candidate index is built at most once per Plan and reused across all passes)
+func (rs *refineScratch) candidateIndex(inst *cover.Instance) *geom.GridIndex {
+	if rs.cands == nil {
+		rs.cands = geom.NewGridIndexAuto(inst.Candidates, 0)
+	}
+	return rs.cands
 }
 
 // coverersOf returns the candidates covering sensor s, ascending.
@@ -338,6 +359,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 		bestCost := prev[i].Dist(cur) + cur.Dist(next[i])
 		bestCand := chosen[i]
 		consider := func(c int) {
+			rs.relocateEvals++
 			if c == chosen[i] {
 				return
 			}
@@ -358,11 +380,21 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 				consider(int(c))
 			}
 		} else {
-			// No critical sensors (the stop is redundant): every
-			// candidate qualifies, as in the full scan.
-			for c := 0; c < inst.NumCandidates(); c++ {
+			// No critical sensors (the stop is redundant): every candidate
+			// qualifies. A candidate c can only win with
+			// prev.Dist(c)+c.Dist(next) < bestCost, and bestCost only
+			// shrinks; by the triangle inequality that puts c within
+			// bestCost/2 of the prev–next midpoint. Scanning the hits of
+			// that disk (plus slack for rounding) in ascending order
+			// therefore makes the same moves, tie-breaks included, as a
+			// scan of every candidate.
+			mid := geom.Mid(prev[i], next[i])
+			hits := rs.candidateIndex(inst).Within(mid, bestCost/2+1e-6, rs.hits[:0])
+			slices.Sort(hits)
+			for _, c := range hits {
 				consider(c)
 			}
+			rs.hits = hits
 		}
 		if bestCand != chosen[i] {
 			for _, s := range inst.Cover(chosen[i]) {

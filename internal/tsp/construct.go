@@ -1,7 +1,9 @@
 package tsp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"mobicol/internal/geom"
@@ -45,12 +47,21 @@ const greedyEdgeDenseMax = 2048
 // variant: same greedy rule over the union of each point's k-nearest
 // candidate edges, with leftover path fragments linked nearest-first.
 func GreedyEdge(pts []geom.Point) Tour {
+	t, _ := greedyEdge(pts)
+	return t
+}
+
+// greedyEdge is GreedyEdge that also returns the k-nearest lists the
+// sparse construction built (nil on the dense path), so Solve can hand
+// them to the local searches instead of building the same lists twice.
+func greedyEdge(pts []geom.Point) (Tour, [][]int) {
 	n := len(pts)
 	if n <= 3 {
-		return trivialTour(n)
+		return trivialTour(n), nil
 	}
 	if n > greedyEdgeDenseMax {
-		return greedyEdgeSparse(pts)
+		neigh := neighborLists(pts, neighborK)
+		return greedyEdgeSparse(pts, neigh), neigh
 	}
 	type edge struct {
 		u, v int
@@ -98,7 +109,7 @@ func GreedyEdge(pts []geom.Point) Tour {
 		}
 		prev, cur = cur, next
 	}
-	return tour
+	return tour, nil
 }
 
 // greedyEdgeSparse is greedy-edge over the k-nearest candidate edge set:
@@ -108,9 +119,9 @@ func GreedyEdge(pts []geom.Point) Tour {
 // pass generally leaves a forest of path fragments (a point whose k
 // nearest are all full keeps degree < 2), so a second pass links fragment
 // endpoints nearest-first through a kd-tree, then closes the cycle.
-func greedyEdgeSparse(pts []geom.Point) Tour {
+// neigh is the point set's k-nearest lists (neighborLists).
+func greedyEdgeSparse(pts []geom.Point, neigh [][]int) Tour {
 	n := len(pts)
-	neigh := neighborLists(pts, neighborK)
 	type edge struct {
 		u, v int32
 		w    float64
@@ -129,15 +140,14 @@ func greedyEdgeSparse(pts []geom.Point) Tour {
 	}
 	// Ties sorted by (w, u, v) keep the edge order — and thus the tour —
 	// independent of neighbour-list assembly order.
-	sort.Slice(edges, func(a, b int) bool {
-		//mdglint:ignore floateq sort comparator needs exact ordering; an epsilon would break strict weak ordering
-		if edges[a].w != edges[b].w {
-			return edges[a].w < edges[b].w
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
 		}
-		if edges[a].u != edges[b].u {
-			return edges[a].u < edges[b].u
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return edges[a].v < edges[b].v
+		return cmp.Compare(a.v, b.v)
 	})
 	deg := make([]int, n)
 	uf := graph.NewUnionFind(n)

@@ -3,6 +3,7 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mobicol/internal/par"
@@ -47,6 +48,52 @@ func TestNeighborListsCoincidentPoints(t *testing.T) {
 			if j == i {
 				t.Fatalf("point %d lists itself", i)
 			}
+		}
+	}
+}
+
+// TestNeighborListsCapped: every list is exactly k long with capacity k,
+// so an append to one list reallocates instead of overwriting the next
+// list in the shared backing array.
+func TestNeighborListsCapped(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		width float64
+	}{{2, 100}, {5, 100}, {200, 300}, {6, 0}} {
+		pts := randPts(rng.New(3), tc.n, tc.width)
+		k := min(neighborK, tc.n-1)
+		lists := neighborLists(pts, neighborK)
+		for i, l := range lists {
+			if len(l) != k || cap(l) != k {
+				t.Fatalf("n=%d point %d: len %d cap %d, want both %d", tc.n, i, len(l), cap(l), k)
+			}
+		}
+		next := lists[1][0]
+		_ = append(lists[0], -1)
+		if lists[1][0] != next {
+			t.Fatalf("n=%d: append to list 0 overwrote list 1", tc.n)
+		}
+	}
+}
+
+// TestSolveSharesSparseNeighborLists pins the shared-list path: on the
+// sparse greedy-edge path, Solve hands the construction's k-nearest lists
+// to the local searches, and must return the same tour as GreedyEdge
+// followed by the three improvement passes over separately built lists.
+func TestSolveSharesSparseNeighborLists(t *testing.T) {
+	opts := DefaultOptions()
+	n := greedyEdgeDenseMax + 300
+	for seed := uint64(31); seed < 33; seed++ {
+		pts := randPts(rng.New(seed), n, 2000)
+		want := GreedyEdge(pts)
+		neigh := NeighborLists(pts, neighborK)
+		var s Scratch
+		s.TwoOpt(pts, want, neigh)
+		s.OrOpt(pts, want, neigh)
+		s.TwoOpt(pts, want, neigh)
+		got := Solve(pts, opts)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Solve's tour differs from GreedyEdge + separate lists", seed)
 		}
 	}
 }

@@ -34,13 +34,20 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 	if k <= 0 {
 		return lists
 	}
+	// Every list is a k-wide window of one backing array. The full slice
+	// expression caps each window at k, so an append to one list
+	// reallocates instead of overwriting the next.
+	flat := make([]int, n*k)
+	for i := range lists {
+		lists[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
 	b := geom.Bound(pts)
 	w, h := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
 	span := max(w, h)
 	if !(span > 0) {
 		// Coincident points: no usable grid cell. Quadratic fallback.
 		for i := range lists {
-			lists[i] = sortedNeighbors(pts, i, k)
+			copy(lists[i], sortedNeighbors(pts, i, k))
 		}
 		return lists
 	}
@@ -71,7 +78,7 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 			// Unreachable once r exceeds the bounding-box diagonal (every
 			// point is within diag of every other), but keep the exact path
 			// as a safety net.
-			lists[i] = sortedNeighbors(pts, i, k)
+			copy(lists[i], sortedNeighbors(pts, i, k))
 			continue
 		}
 		cand = cand[:0]
@@ -86,11 +93,9 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 		keys = keys[:len(cand)]
 		geom.Dist2Gather(xs, ys, cand, pts[i], keys)
 		sort.Sort(&distSorter{idx: cand, key: keys})
-		list := make([]int, k)
-		for j := range list {
-			list[j] = int(cand[j])
+		for j := range lists[i] {
+			lists[i][j] = int(cand[j])
 		}
-		lists[i] = list
 	}
 	return lists
 }

@@ -31,7 +31,7 @@ func TestGreedyEdgeSparseMatchesDenseQuality(t *testing.T) {
 	for seed := uint64(9); seed < 12; seed++ {
 		pts := randPts(rng.New(seed), 600, 800)
 		dense := GreedyEdge(pts)
-		sparse := greedyEdgeSparse(pts)
+		sparse := greedyEdgeSparse(pts, neighborLists(pts, neighborK))
 		if err := sparse.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

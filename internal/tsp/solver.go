@@ -84,11 +84,14 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	}
 	sp := opts.Obs.Child("construct")
 	var t Tour
+	// neigh is the k-nearest candidate lists; the sparse greedy-edge
+	// construction builds them, and the local searches reuse them.
+	var neigh [][]int
 	switch opts.Construction {
 	case ConstructNN:
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
-		t = GreedyEdge(pts)
+		t, neigh = greedyEdge(pts)
 	case ConstructCheapest:
 		t = CheapestInsertion(pts)
 	case ConstructHull:
@@ -110,9 +113,9 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	}
 	sp.End()
 	// Both local searches work off the same k-nearest candidate lists;
-	// build them once and share across every pass.
-	var neigh [][]int
-	if opts.TwoOpt || opts.OrOpt {
+	// build them once (unless construction already did) and share them
+	// across every pass.
+	if neigh == nil && (opts.TwoOpt || opts.OrOpt) {
 		neigh = neighborLists(pts, neighborK)
 	}
 	// One scratch serves every pass: the second 2-opt pass reuses the
