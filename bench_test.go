@@ -16,6 +16,7 @@ import (
 	"mobicol/internal/cover"
 	"mobicol/internal/geom"
 	"mobicol/internal/obs"
+	"mobicol/internal/par"
 	"mobicol/internal/tsp"
 )
 
@@ -124,7 +125,7 @@ func BenchmarkE16Rotation(b *testing.B) { runExperiment(b, "E16", 1, 1, "rounds"
 func warmTSPScratch(s *tsp.Scratch) (pts []geom.Point, tour tsp.Tour, neigh [][]int) {
 	nw := MustDeploy(DeployConfig{N: 200, FieldSide: 200, Range: 30, Seed: 1})
 	pts = nw.Positions()
-	neigh = tsp.NeighborLists(pts, 12)
+	neigh = tsp.NeighborLists(pts, 12, par.Pool{})
 	tour = make(tsp.Tour, len(pts))
 	for i := range tour {
 		tour[i] = i

@@ -1,4 +1,4 @@
-// Goroutine-leak regression for the pool contract: ForEach/ForChunks/Map
+// Goroutine-leak regression for the pool contract: ForEach/ForChunks/Map/MapChunks
 // spawn workers per fan-out and join them before returning, so no
 // goroutine may outlive the call. The external test package lets this
 // file use the shared leak checker from internal/check.
@@ -18,6 +18,7 @@ func TestPoolOperationsLeakNoGoroutines(t *testing.T) {
 			_ = par.Map(p, 1000, func(i int) int { return i * i })
 			p.ForEach(257, func(int) {})
 			p.ForChunks(99, func(lo, hi int) {})
+			_ = par.MapChunks(p, 99, func(lo, hi int) int { return hi - lo })
 			_ = par.Reduce(p, 500, func(i int) float64 { return float64(i) }, 0.0,
 				func(acc, v float64) float64 { return acc + v })
 		})

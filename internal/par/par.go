@@ -118,6 +118,20 @@ func Map[T any](p Pool, n int, fn func(i int) T) []T {
 	return out
 }
 
+// MapChunks partitions [0, n) exactly as ForChunks does and returns
+// fn(lo, hi) of every chunk in chunk order, so a per-chunk result (a
+// partial count, a sorted run) lands in a slot fixed by the chunk's
+// position, never by scheduling. How many results there are depends on
+// the pool size; callers fold them with an operation whose outcome does
+// not, such as an integer sum or a merge under a total order.
+func MapChunks[T any](p Pool, n int, fn func(lo, hi int) T) []T {
+	if n <= 0 {
+		return nil
+	}
+	w := min(p.Size(), n)
+	return Map(p, w, func(c int) T { return fn(c*n/w, (c+1)*n/w) })
+}
+
 // Reduce computes fn(i) for every i in [0, n) across the pool, then folds
 // the results sequentially in strict index order. The ordered fold makes
 // non-associative reductions — float sums, tie-breaking argmins — match the

@@ -67,6 +67,30 @@ func TestMapOrderedForAnyPoolSize(t *testing.T) {
 	}
 }
 
+// MapChunks must hand out the same chunks ForChunks runs, in order: the
+// results tile [0, n) contiguously, one per chunk, for every pool size.
+func TestMapChunksTilesInChunkOrder(t *testing.T) {
+	for _, p := range pools() {
+		for _, n := range []int{0, 1, 5, 17, 256} {
+			type span struct{ lo, hi int }
+			got := MapChunks(p, n, func(lo, hi int) span { return span{lo, hi} })
+			if want := min(p.Size(), n); len(got) != want {
+				t.Fatalf("workers=%d n=%d: %d chunks, want %d", p.Size(), n, len(got), want)
+			}
+			next := 0
+			for c, s := range got {
+				if s.lo != next || s.hi <= s.lo {
+					t.Fatalf("workers=%d n=%d: chunk %d is [%d,%d), want start %d", p.Size(), n, c, s.lo, s.hi, next)
+				}
+				next = s.hi
+			}
+			if n > 0 && next != n {
+				t.Fatalf("workers=%d n=%d: chunks end at %d", p.Size(), n, next)
+			}
+		}
+	}
+}
+
 // Float sums are not associative; the ordered reduction must still match
 // the sequential fold bit-for-bit on every pool size.
 func TestReduceMatchesSequentialFloatSum(t *testing.T) {

@@ -261,7 +261,7 @@ func Repair(nw *wsn.Network, prev *collector.TourPlan, carried []int, opts Optio
 				seeds = append(seeds, i, i+1, (i+2)%len(pts))
 			}
 		}
-		neigh := tsp.NeighborLists(pts, repairNeighborK)
+		neigh := tsp.NeighborLists(pts, repairNeighborK, opts.Pool)
 		var sc tsp.Scratch
 		st.Moves = sc.TwoOptSeeded(pts, tour, neigh, seeds)
 		st.Moves += sc.OrOptSeeded(pts, tour, neigh, seeds)

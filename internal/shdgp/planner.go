@@ -124,6 +124,7 @@ func Plan(p *Problem, opts PlannerOptions) (*Solution, error) {
 	spTSP := root.Child("tsp")
 	tspOpts := opts.TSP
 	tspOpts.Obs = spTSP
+	tspOpts.Pool = p.Pool
 	sol := buildSolution(p, inst, chosen, tspOpts, algorithmName(opts))
 	spTSP.SetInt("stops", int64(len(chosen)))
 	//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
@@ -326,7 +327,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 		//mdglint:allow-alloc(append stays within the capacity ensureTour reserved)
 		pts = append(pts, inst.Candidates[c])
 	}
-	tour := tsp.Solve(pts, tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true})
+	tour := tsp.Solve(pts, tsp.Options{Construction: tsp.ConstructGreedy, TwoOpt: true, Pool: p.Pool})
 	tour.RotateTo(0)
 	prev, next := rs.prev, rs.next
 	for ti, idx := range tour {
@@ -413,7 +414,7 @@ func relocateStops(p *Problem, inst *cover.Instance, chosen []int, rs *refineScr
 // PlanVisitAll returns the "d = 0" extreme: the collector visits every
 // sensor position (single hop at zero distance). The paper's introduction
 // uses it to motivate covering stops; the experiments use it as the
-// maximum-energy-saving baseline.
+// maximum-energy-saving baseline. The tour is built on p.Pool.
 func PlanVisitAll(p *Problem, opts tsp.Options) (*Solution, error) {
 	sensors := p.Net.Positions()
 	if len(sensors) == 0 {
@@ -424,6 +425,7 @@ func PlanVisitAll(p *Problem, opts tsp.Options) (*Solution, error) {
 	for i := range chosen {
 		chosen[i] = i
 	}
+	opts.Pool = p.Pool
 	// Assign every sensor to its own position, not the nearest stop: with
 	// all sensors as stops the nearest stop IS its own position.
 	sol := buildSolution(p, inst, chosen, opts, "visit-all-tsp")

@@ -8,6 +8,7 @@ import (
 
 	"mobicol/internal/geom"
 	"mobicol/internal/graph"
+	"mobicol/internal/par"
 )
 
 // NearestNeighbor builds a tour by repeatedly travelling to the closest
@@ -47,21 +48,18 @@ const greedyEdgeDenseMax = 2048
 // variant: same greedy rule over the union of each point's k-nearest
 // candidate edges, with leftover path fragments linked nearest-first.
 func GreedyEdge(pts []geom.Point) Tour {
-	t, _ := greedyEdge(pts)
-	return t
+	if len(pts) > greedyEdgeDenseMax {
+		t, _ := greedyEdgeSparse(pts, NeighborLists(pts, neighborK, par.Pool{}), par.Pool{})
+		return t
+	}
+	return greedyEdgeDense(pts)
 }
 
-// greedyEdge is GreedyEdge that also returns the k-nearest lists the
-// sparse construction built (nil on the dense path), so Solve can hand
-// them to the local searches instead of building the same lists twice.
-func greedyEdge(pts []geom.Point) (Tour, [][]int) {
+// greedyEdgeDense is greedy-edge over all n(n-1)/2 edges.
+func greedyEdgeDense(pts []geom.Point) Tour {
 	n := len(pts)
 	if n <= 3 {
-		return trivialTour(n), nil
-	}
-	if n > greedyEdgeDenseMax {
-		neigh := neighborLists(pts, neighborK)
-		return greedyEdgeSparse(pts, neigh), neigh
+		return trivialTour(n)
 	}
 	type edge struct {
 		u, v int
@@ -109,7 +107,27 @@ func greedyEdge(pts []geom.Point) (Tour, [][]int) {
 		}
 		prev, cur = cur, next
 	}
-	return tour, nil
+	return tour
+}
+
+// candEdge is one sparse greedy-edge candidate: u < v, w their squared
+// distance.
+type candEdge struct {
+	u, v int32
+	w    float64
+}
+
+// compareCandEdges orders candidate edges by (w, u, v). The order is
+// total on distinct edges, so the sorted sequence — and thus the tour —
+// does not depend on how the candidates were assembled.
+func compareCandEdges(a, b candEdge) int {
+	if c := cmp.Compare(a.w, b.w); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.u, b.u); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
 }
 
 // greedyEdgeSparse is greedy-edge over the k-nearest candidate edge set:
@@ -119,36 +137,40 @@ func greedyEdge(pts []geom.Point) (Tour, [][]int) {
 // pass generally leaves a forest of path fragments (a point whose k
 // nearest are all full keeps degree < 2), so a second pass links fragment
 // endpoints nearest-first through a kd-tree, then closes the cycle.
-// neigh is the point set's k-nearest lists (neighborLists).
-func greedyEdgeSparse(pts []geom.Point, neigh [][]int) Tour {
+// neigh is the point set's k-nearest lists (neighborLists). It also
+// returns the number of candidate edges.
+//
+// Each candidate edge appears once: a mutual pair {u, v} with v < u is
+// taken from v's list only. Its second copy could never be linked — once
+// the first copy has been seen, u and v are connected or one of them is
+// full — so dropping it leaves the tour unchanged. Instances of
+// parMinPoints or more points build and sort one run of candidates per
+// pool chunk and merge the runs; under the total (w, u, v) order the
+// merged sequence is the one a single global sort gives.
+func greedyEdgeSparse(pts []geom.Point, neigh [][]int, pool par.Pool) (Tour, int) {
 	n := len(pts)
-	type edge struct {
-		u, v int32
-		w    float64
+	if n < parMinPoints {
+		pool = par.Seq()
 	}
-	edges := make([]edge, 0, n*neighborK)
-	for u, list := range neigh {
-		for _, v := range list {
-			// Normalise so both directions of a mutual pair collide; the
-			// duplicate is skipped by the degree/component checks.
-			a, b := u, v
-			if a > b {
-				a, b = b, a
+	// Each chunk appends into its own window of one backing array, sized
+	// for every list entry of its points.
+	backing := make([]candEdge, n*neighborK)
+	runs := par.MapChunks(pool, n, func(lo, hi int) []candEdge {
+		run := backing[lo*neighborK : lo*neighborK : hi*neighborK]
+		for u, list := range neigh[lo:hi] {
+			u += lo
+			for _, v := range list {
+				if v < u && slices.Contains(neigh[v], u) {
+					continue
+				}
+				a, b := min(u, v), max(u, v)
+				run = append(run, candEdge{int32(a), int32(b), pts[a].Dist2(pts[b])})
 			}
-			edges = append(edges, edge{int32(a), int32(b), pts[a].Dist2(pts[b])})
 		}
-	}
-	// Ties sorted by (w, u, v) keep the edge order — and thus the tour —
-	// independent of neighbour-list assembly order.
-	slices.SortFunc(edges, func(a, b edge) int {
-		if c := cmp.Compare(a.w, b.w); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.u, b.u); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.v, b.v)
+		slices.SortFunc(run, compareCandEdges)
+		return run
 	})
+	edges := mergeCandEdges(runs)
 	deg := make([]int, n)
 	uf := graph.NewUnionFind(n)
 	adj := make([][2]int, n)
@@ -176,24 +198,36 @@ func greedyEdgeSparse(pts []geom.Point, neigh [][]int) Tour {
 	}
 	// Link the remaining fragments: for the lowest-index endpoint, attach
 	// the nearest endpoint of another fragment, until one path remains.
-	kt := geom.NewKDTree(pts)
+	// Degrees only grow, so only the points of degree < 2 now can ever be
+	// linked, and the kd-tree indexes those alone. ends ascends, so the
+	// tree's lower-index tie-break is the lower point id, as it would be
+	// over all points.
+	var ends []int
+	for i, d := range deg {
+		if d < 2 {
+			ends = append(ends, i)
+		}
+	}
+	endPts := make([]geom.Point, len(ends))
+	for e, i := range ends {
+		endPts[e] = pts[i]
+	}
+	kt := geom.NewKDTree(endPts)
 	scan := 0
 	for added < n-1 {
-		u := -1
-		for i := scan; i < n; i++ {
-			if deg[i] < 2 {
-				u, scan = i, i
-				break
-			}
+		for deg[ends[scan]] >= 2 {
+			scan++
 		}
-		v, _ := kt.Nearest(pts[u], func(j int) bool {
+		u := ends[scan]
+		e, _ := kt.Nearest(pts[u], func(e int) bool {
+			j := ends[e]
 			return j == u || deg[j] >= 2 || uf.Connected(u, j)
 		})
-		link(u, v)
+		link(u, ends[e])
 	}
 	// Close the Hamiltonian path into a cycle.
 	a, b := -1, -1
-	for i := 0; i < n; i++ {
+	for _, i := range ends {
 		if deg[i] < 2 {
 			if a < 0 {
 				a = i
@@ -213,7 +247,33 @@ func greedyEdgeSparse(pts []geom.Point, neigh [][]int) Tour {
 		}
 		prev, cur = cur, next
 	}
-	return tour
+	return tour, len(edges)
+}
+
+// mergeCandEdges merges sorted runs of candidate edges into one sorted
+// slice, pairing neighbouring runs each round: O(E log runs) work.
+func mergeCandEdges(runs [][]candEdge) []candEdge {
+	for len(runs) > 1 {
+		next := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			if i+1 == len(runs) {
+				next = append(next, runs[i])
+				break
+			}
+			a, b := runs[i], runs[i+1]
+			out := make([]candEdge, 0, len(a)+len(b))
+			for len(a) > 0 && len(b) > 0 {
+				if compareCandEdges(b[0], a[0]) < 0 {
+					out, b = append(out, b[0]), b[1:]
+				} else {
+					out, a = append(out, a[0]), a[1:]
+				}
+			}
+			next = append(next, append(append(out, a...), b...))
+		}
+		runs = next
+	}
+	return runs[0]
 }
 
 // CheapestInsertion builds a tour by starting from the two closest points

@@ -1,34 +1,232 @@
 package tsp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"mobicol/internal/geom"
+	"mobicol/internal/graph"
 	"mobicol/internal/par"
 	"mobicol/internal/rng"
 )
 
+// testPools are the pool sizes the equivalence tests compare; Seq is the
+// oracle each of the others must reproduce.
+func testPools() []par.Pool {
+	return []par.Pool{par.Seq(), par.Workers(2), par.Workers(3), par.Workers(8)}
+}
+
+// pointSets returns the point shapes the equivalence tests run on, n
+// points each: uniform and clustered at the paper's density, an integer
+// lattice (many equal distances, so every tie-break matters) and a
+// uniform set in which a quarter of the points are duplicated.
+func pointSets(seed uint64, n int) []namedPoints {
+	src := rng.New(seed)
+	side := 20 * math.Sqrt(float64(n))
+	clustered := make([]geom.Point, n)
+	centres := randPts(src, 1+n/200, side)
+	for i := range clustered {
+		c := centres[src.Intn(len(centres))]
+		clustered[i] = geom.Pt(src.NormMeanStd(c.X, side/50), src.NormMeanStd(c.Y, side/50))
+	}
+	cols := int(math.Ceil(math.Sqrt(float64(n))))
+	lattice := make([]geom.Point, n)
+	for i := range lattice {
+		lattice[i] = geom.Pt(float64(i%cols), float64(i/cols))
+	}
+	dup := randPts(src, n, side)
+	for i := 0; i < n/4; i++ {
+		dup[n-1-i] = dup[src.Intn(n-n/4)]
+	}
+	return []namedPoints{
+		{"uniform", randPts(src, n, side)},
+		{"clustered", clustered},
+		{"lattice", lattice},
+		{"duplicated", dup},
+	}
+}
+
+type namedPoints struct {
+	name string
+	pts  []geom.Point
+}
+
 // TestNeighborListsMatchFullSort pins the grid-backed construction to the
-// quadratic oracle: same neighbours, same order, for every point.
+// quadratic oracle: same neighbours, same order, for every point (every
+// 97th point above the parallel threshold, where the oracle is slow), on
+// every point shape and at every pool size.
 func TestNeighborListsMatchFullSort(t *testing.T) {
+	check := func(name string, pts []geom.Point, stride int) {
+		t.Helper()
+		k := min(neighborK, len(pts)-1)
+		lists := make([][][]int, 0, len(testPools()))
+		for _, pool := range testPools() {
+			lists = append(lists, NeighborLists(pts, neighborK, pool))
+		}
+		for i := 0; i < len(pts); i += stride {
+			want := sortedNeighbors(pts, i, k)
+			for p, pool := range testPools() {
+				if got := lists[p][i]; !slices.Equal(got, want) {
+					t.Fatalf("%s workers=%d point %d: %v, want %v", name, pool.Size(), i, got, want)
+				}
+			}
+		}
+	}
 	for _, n := range []int{5, 30, 200} {
 		for seed := uint64(5); seed < 8; seed++ {
-			pts := randPts(rng.New(seed), n, 300)
-			k := min(neighborK, n-1)
-			got := neighborLists(pts, neighborK)
-			for i := range pts {
-				want := sortedNeighbors(pts, i, k)
-				if len(got[i]) != len(want) {
-					t.Fatalf("n=%d seed=%d point %d: %d neighbours, want %d",
-						n, seed, i, len(got[i]), len(want))
+			check(fmt.Sprintf("n=%d seed=%d", n, seed), randPts(rng.New(seed), n, 300), 1)
+		}
+	}
+	for _, set := range pointSets(9, 600) {
+		check(set.name+" n=600", set.pts, 1)
+	}
+	for _, set := range pointSets(10, parMinPoints+900) {
+		check(fmt.Sprintf("%s n=%d", set.name, len(set.pts)), set.pts, 97)
+	}
+}
+
+// TestNeighborListsEvalsPoolIndependent: the tsp.knn_evals work count is
+// a per-chunk sum, the same for every pool size.
+func TestNeighborListsEvalsPoolIndependent(t *testing.T) {
+	pts := randPts(rng.New(12), parMinPoints+500, 1500)
+	_, want := neighborLists(pts, neighborK, par.Seq())
+	if want < int64(len(pts)*neighborK) {
+		t.Fatalf("%d evaluations for %d points, want at least k per point", want, len(pts))
+	}
+	for _, pool := range testPools() {
+		if _, got := neighborLists(pts, neighborK, pool); got != want {
+			t.Fatalf("workers=%d: %d evaluations, sequential %d", pool.Size(), got, want)
+		}
+	}
+}
+
+// greedyEdgeSparseOracle is the reference sparse greedy-edge construction:
+// every list entry as a candidate edge (a mutual pair twice), one global
+// sort, and a kd-tree over all points for the fragment links.
+func greedyEdgeSparseOracle(pts []geom.Point, neigh [][]int) Tour {
+	n := len(pts)
+	type edge struct {
+		u, v int32
+		w    float64
+	}
+	edges := make([]edge, 0, n*neighborK)
+	for u, list := range neigh {
+		for _, v := range list {
+			a, b := min(u, v), max(u, v)
+			edges = append(edges, edge{int32(a), int32(b), pts[a].Dist2(pts[b])})
+		}
+	}
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.w, b.w); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	deg := make([]int, n)
+	uf := graph.NewUnionFind(n)
+	adj := make([][2]int, n)
+	for i := range adj {
+		adj[i] = [2]int{-1, -1}
+	}
+	added := 0
+	link := func(u, v int) {
+		uf.Union(u, v)
+		adj[u][deg[u]] = v
+		adj[v][deg[v]] = u
+		deg[u]++
+		deg[v]++
+		added++
+	}
+	for _, e := range edges {
+		if added == n-1 {
+			break
+		}
+		u, v := int(e.u), int(e.v)
+		if deg[u] >= 2 || deg[v] >= 2 || uf.Connected(u, v) {
+			continue
+		}
+		link(u, v)
+	}
+	kt := geom.NewKDTree(pts)
+	scan := 0
+	for added < n-1 {
+		u := -1
+		for i := scan; i < n; i++ {
+			if deg[i] < 2 {
+				u, scan = i, i
+				break
+			}
+		}
+		v, _ := kt.Nearest(pts[u], func(j int) bool {
+			return j == u || deg[j] >= 2 || uf.Connected(u, j)
+		})
+		link(u, v)
+	}
+	a, b := -1, -1
+	for i := 0; i < n; i++ {
+		if deg[i] < 2 {
+			if a < 0 {
+				a = i
+			} else {
+				b = i
+			}
+		}
+	}
+	link(a, b)
+	tour := make(Tour, 0, n)
+	prev, cur := -1, 0
+	for len(tour) < n {
+		tour = append(tour, cur)
+		next := adj[cur][0]
+		if next == prev {
+			next = adj[cur][1]
+		}
+		prev, cur = cur, next
+	}
+	return tour
+}
+
+// TestGreedyEdgeSparseMatchesOracle pins the deduplicated, run-merged
+// construction with its endpoint-only kd-tree to the reference, tour for
+// tour, on every point shape, on both sides of the parallel threshold and
+// at every pool size. Solve must likewise return one tour for every pool.
+func TestGreedyEdgeSparseMatchesOracle(t *testing.T) {
+	for _, n := range []int{2300, 6000} {
+		for _, set := range pointSets(uint64(n), n) {
+			name, pts := set.name, set.pts
+			neigh := NeighborLists(pts, neighborK, par.Seq())
+			want := greedyEdgeSparseOracle(pts, neigh)
+			if err := want.Validate(n); err != nil {
+				t.Fatalf("%s n=%d: oracle: %v", name, n, err)
+			}
+			pairs := map[[2]int]bool{}
+			for u, list := range neigh {
+				for _, v := range list {
+					pairs[[2]int{min(u, v), max(u, v)}] = true
 				}
-				for j := range want {
-					if got[i][j] != want[j] {
-						t.Fatalf("n=%d seed=%d point %d slot %d: %d, want %d",
-							n, seed, i, j, got[i][j], want[j])
-					}
+			}
+			for _, pool := range testPools() {
+				got, edges := greedyEdgeSparse(pts, neigh, pool)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d workers=%d: tour differs from the oracle", name, n, pool.Size())
+				}
+				if edges != len(pairs) {
+					t.Fatalf("%s n=%d workers=%d: %d candidate edges, want the %d distinct pairs", name, n, pool.Size(), edges, len(pairs))
+				}
+			}
+			// Below parMinPoints every pool runs sequentially, so Solve is
+			// compared across pools above it only.
+			if n >= parMinPoints {
+				opts := DefaultOptions()
+				opts.Pool = par.Workers(8)
+				if !slices.Equal(Solve(pts, opts), Solve(pts, DefaultOptions())) {
+					t.Fatalf("%s n=%d: Solve's tour depends on the pool", name, n)
 				}
 			}
 		}
@@ -39,7 +237,7 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 // fallback: every point at the same location still yields full lists.
 func TestNeighborListsCoincidentPoints(t *testing.T) {
 	pts := randPts(rng.New(1), 6, 0) // Uniform(0,0) puts every point at the origin
-	lists := neighborLists(pts, neighborK)
+	lists := NeighborLists(pts, neighborK, par.Pool{})
 	for i, l := range lists {
 		if len(l) != 5 {
 			t.Fatalf("point %d: %d neighbours, want 5", i, len(l))
@@ -62,7 +260,7 @@ func TestNeighborListsCapped(t *testing.T) {
 	}{{2, 100}, {5, 100}, {200, 300}, {6, 0}} {
 		pts := randPts(rng.New(3), tc.n, tc.width)
 		k := min(neighborK, tc.n-1)
-		lists := neighborLists(pts, neighborK)
+		lists := NeighborLists(pts, neighborK, par.Pool{})
 		for i, l := range lists {
 			if len(l) != k || cap(l) != k {
 				t.Fatalf("n=%d point %d: len %d cap %d, want both %d", tc.n, i, len(l), cap(l), k)
@@ -86,7 +284,7 @@ func TestSolveSharesSparseNeighborLists(t *testing.T) {
 	for seed := uint64(31); seed < 33; seed++ {
 		pts := randPts(rng.New(seed), n, 2000)
 		want := GreedyEdge(pts)
-		neigh := NeighborLists(pts, neighborK)
+		neigh := NeighborLists(pts, neighborK, par.Pool{})
 		var s Scratch
 		s.TwoOpt(pts, want, neigh)
 		s.OrOpt(pts, want, neigh)
@@ -130,7 +328,7 @@ func TestOrOptNeighborsNeverLengthens(t *testing.T) {
 	for seed := uint64(60); seed < 66; seed++ {
 		pts := randPts(rng.New(seed), 90, 200)
 		tour := NearestNeighbor(pts, 0)
-		neigh := neighborLists(pts, neighborK)
+		neigh := NeighborLists(pts, neighborK, par.Pool{})
 		before := tour.Length(pts)
 		moves := OrOptNeighbors(pts, tour, neigh)
 		after := tour.Length(pts)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/par"
 )
 
 // neighborK is the candidate-list width shared by the local searches.
@@ -12,27 +13,47 @@ import (
 // instances; 12 matches the classic Lin–Kernighan setting.
 const neighborK = 12
 
+// parMinPoints is the instance size below which the k-nearest lists and
+// the sparse greedy-edge candidates are built on the calling goroutine
+// whatever the pool: the paper's instances (a few hundred stops) would
+// pay more for the fan-out than the work costs.
+const parMinPoints = 4096
+
+// knnStartCells is the first disk-query radius of the k-nearest search,
+// in grid cells. At the grid's one-point-per-cell occupancy a disk of
+// 2.5 cells holds about 20 points, so most queries find k = 12 others
+// without a rescan. Any start radius gives the same lists; it only sets
+// how many rescans a point needs.
+const knnStartCells = 2.5
+
 // neighborLists returns, for every point, the indices of its k nearest
 // other points, sorted by ascending distance (ties toward the lower
-// index, so the lists are independent of construction path). Local search
-// restricted to near neighbours finds almost all the improving moves of
-// the full quadratic scan at a fraction of the cost.
+// index, so the lists are independent of construction path), and the
+// number of candidate distances it evaluated. Local search restricted to
+// near neighbours finds almost all the improving moves of the full
+// quadratic scan at a fraction of the cost.
 //
 // The lists are built from an occupancy-auto-sized geom.GridIndex disk
 // query with radius doubling — expected O(k) work per point at any n —
-// with candidate distances computed through the flat-slice batch kernels,
-// and fall back to a full sort only for degenerate geometry (all points
-// coincident) where a grid cannot be built. The result is the exact
-// k-nearest set however the grid is sized, so the auto sizing never
-// changes a tour.
-func neighborLists(pts []geom.Point, k int) [][]int {
+// with candidate distances computed through the flat-slice batch kernel
+// and the k nearest kept by insertion into a k-slot prefix. Every disk
+// hit is nearer than every miss, so the result is the exact k-nearest
+// set however the grid is sized and wherever the radius starts. Only
+// degenerate geometry (all points coincident), where a grid cannot be
+// built, falls back to a full sort.
+//
+// Each point's list depends on the point set alone and lands in its own
+// window of the backing array, so the points are split into pool chunks
+// with no effect on the result; the evaluation count is a per-chunk sum
+// and is the same for every pool size.
+func neighborLists(pts []geom.Point, k int, pool par.Pool) ([][]int, int64) {
 	n := len(pts)
 	if k >= n {
 		k = n - 1
 	}
 	lists := make([][]int, n)
 	if k <= 0 {
-		return lists
+		return lists, 0
 	}
 	// Every list is a k-wide window of one backing array. The full slice
 	// expression caps each window at k, so an append to one list
@@ -49,77 +70,102 @@ func neighborLists(pts []geom.Point, k int) [][]int {
 		for i := range lists {
 			copy(lists[i], sortedNeighbors(pts, i, k))
 		}
-		return lists
+		return lists, int64(n) * int64(n-1)
 	}
 	idx := geom.NewGridIndexAuto(pts, 1)
-	cell := idx.CellSize()
+	r0 := knnStartCells * idx.CellSize()
 	diag := math.Hypot(w, h)
 	xs, ys := geom.SplitXY(pts, nil, nil)
-	buf := make([]int, 0, 4*k)
-	cand := make([]int32, 0, 4*k)
-	keys := make([]float64, 0, 4*k)
-	for i := range pts {
-		r := cell
-		others := 0
-		for {
-			buf = idx.Within(pts[i], r, buf[:0])
-			others = len(buf)
+	if n < parMinPoints {
+		pool = par.Seq()
+	}
+	evals := par.MapChunks(pool, n, func(lo, hi int) int64 {
+		buf := make([]int, 0, 4*k)
+		cand := make([]int32, 0, 4*k)
+		keys := make([]float64, 0, 4*k)
+		var count int64
+		for i := lo; i < hi; i++ {
+			r := r0
+			others := 0
+			for {
+				buf = idx.Within(pts[i], r, buf[:0])
+				others = len(buf)
+				for _, j := range buf {
+					if j == i {
+						others--
+					}
+				}
+				if others >= k || r > diag {
+					break
+				}
+				r *= 2
+			}
+			if others < k {
+				// Unreachable once r exceeds the bounding-box diagonal
+				// (every point is within diag of every other), but keep
+				// the exact path as a safety net.
+				copy(lists[i], sortedNeighbors(pts, i, k))
+				count += int64(n - 1)
+				continue
+			}
+			cand = cand[:0]
 			for _, j := range buf {
-				if j == i {
-					others--
+				if j != i {
+					cand = append(cand, int32(j))
 				}
 			}
-			if others >= k || r > diag {
-				break
+			if cap(keys) < len(cand) {
+				keys = make([]float64, len(cand))
 			}
-			r *= 2
-		}
-		if others < k {
-			// Unreachable once r exceeds the bounding-box diagonal (every
-			// point is within diag of every other), but keep the exact path
-			// as a safety net.
-			copy(lists[i], sortedNeighbors(pts, i, k))
-			continue
-		}
-		cand = cand[:0]
-		for _, j := range buf {
-			if j != i {
-				cand = append(cand, int32(j))
+			keys = keys[:len(cand)]
+			geom.Dist2Gather(xs, ys, cand, pts[i], keys)
+			nearestK(cand, keys, k)
+			for j := range lists[i] {
+				lists[i][j] = int(cand[j])
 			}
+			count += int64(len(cand))
 		}
-		if cap(keys) < len(cand) {
-			keys = make([]float64, len(cand))
-		}
-		keys = keys[:len(cand)]
-		geom.Dist2Gather(xs, ys, cand, pts[i], keys)
-		sort.Sort(&distSorter{idx: cand, key: keys})
-		for j := range lists[i] {
-			lists[i][j] = int(cand[j])
-		}
+		return count
+	})
+	var total int64
+	for _, e := range evals {
+		total += e
 	}
-	return lists
+	return lists, total
 }
 
-// distSorter orders candidate indices by ascending precomputed squared
-// distance, ties toward the lower index — the same total order
-// sortByDist's comparator produces, without recomputing distances per
-// comparison.
-type distSorter struct {
-	idx []int32
-	key []float64
+// nearestK moves the k candidates that come first in ascending (key,
+// index) order into cand[:k], in that order: the prefix a full sort by
+// squared distance with ties toward the lower index would give, kept by
+// insertion into a k-slot prefix instead. keys[c] is cand[c]'s squared
+// distance and moves with it; len(cand) >= k.
+func nearestK(cand []int32, keys []float64, k int) {
+	for c := range cand {
+		d, j := keys[c], cand[c]
+		p := c // the gap (d, j) is inserted into
+		if c >= k {
+			if !nearer(d, j, keys[k-1], cand[k-1]) {
+				continue
+			}
+			p = k - 1 // drop the prefix's last entry
+		}
+		for p > 0 && nearer(d, j, keys[p-1], cand[p-1]) {
+			keys[p], cand[p] = keys[p-1], cand[p-1]
+			p--
+		}
+		keys[p], cand[p] = d, j
+	}
 }
 
-func (d *distSorter) Len() int { return len(d.idx) }
-func (d *distSorter) Less(a, b int) bool {
-	//mdglint:ignore floateq sort comparator needs exact ordering; an epsilon would break strict weak ordering
-	if d.key[a] != d.key[b] {
-		return d.key[a] < d.key[b]
+// nearer reports whether candidate j at squared distance d precedes
+// candidate l at squared distance e: nearer first, ties toward the lower
+// index, a total order on distinct candidates.
+func nearer(d float64, j int32, e float64, l int32) bool {
+	//mdglint:ignore floateq total-order comparator needs exact ordering; an epsilon would break transitivity
+	if d != e {
+		return d < e
 	}
-	return d.idx[a] < d.idx[b]
-}
-func (d *distSorter) Swap(a, b int) {
-	d.idx[a], d.idx[b] = d.idx[b], d.idx[a]
-	d.key[a], d.key[b] = d.key[b], d.key[a]
+	return j < l
 }
 
 // sortedNeighbors is the exact quadratic construction of one point's
@@ -192,15 +238,18 @@ func TwoOpt(pts []geom.Point, tour Tour) int {
 	if len(tour) < 4 {
 		return 0
 	}
-	return TwoOptNeighbors(pts, tour, neighborLists(pts, neighborK))
+	return TwoOptNeighbors(pts, tour, NeighborLists(pts, neighborK, par.Pool{}))
 }
 
 // NeighborLists builds the k-nearest candidate lists the improvement
 // passes take (the solver uses k = 12). The lists depend only on the
 // point set, so callers holding a Scratch across passes build them once
-// and share them between TwoOpt and OrOpt.
-func NeighborLists(pts []geom.Point, k int) [][]int {
-	return neighborLists(pts, k)
+// and share them between TwoOpt and OrOpt. Instances of parMinPoints or
+// more points spread the build across pool; the lists are identical for
+// every pool size.
+func NeighborLists(pts []geom.Point, k int, pool par.Pool) [][]int {
+	lists, _ := neighborLists(pts, k, pool)
+	return lists
 }
 
 // TwoOptNeighbors is TwoOpt over a caller-supplied neighbour list, so a

@@ -28,7 +28,7 @@ func SolveBestPool(pts []geom.Point, opts Options, restarts int, seed uint64, po
 	}
 	bestLen := best.Length(pts)
 	streams := par.Streams(seed, restarts-1)
-	neigh := neighborLists(pts, neighborK)
+	neigh := NeighborLists(pts, neighborK, pool)
 	tours := par.Map(pool, restarts-1, func(r int) Tour {
 		t := NearestNeighbor(pts, streams[r].Intn(len(pts)))
 		if opts.TwoOpt {
@@ -84,7 +84,7 @@ func SolveILS(pts []geom.Point, opts Options, kicks int, seed uint64) Tour {
 	}
 	bestLen := best.Length(pts)
 	src := rng.New(seed)
-	neigh := neighborLists(pts, neighborK)
+	neigh := NeighborLists(pts, neighborK, par.Pool{})
 	cur := best.Clone()
 	for k := 0; k < kicks; k++ {
 		Perturb(cur, src)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"mobicol/internal/par"
 	"mobicol/internal/rng"
 )
 
@@ -31,7 +32,7 @@ func TestGreedyEdgeSparseMatchesDenseQuality(t *testing.T) {
 	for seed := uint64(9); seed < 12; seed++ {
 		pts := randPts(rng.New(seed), 600, 800)
 		dense := GreedyEdge(pts)
-		sparse := greedyEdgeSparse(pts, neighborLists(pts, neighborK))
+		sparse, _ := greedyEdgeSparse(pts, NeighborLists(pts, neighborK, par.Pool{}), par.Pool{})
 		if err := sparse.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -49,7 +50,7 @@ func TestGreedyEdgeSparseMatchesDenseQuality(t *testing.T) {
 func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 	for seed := uint64(21); seed < 25; seed++ {
 		pts := randPts(rng.New(seed), 150, 400)
-		neigh := neighborLists(pts, neighborK)
+		neigh := NeighborLists(pts, neighborK, par.Pool{})
 		base := GreedyEdge(pts)
 
 		full := slices.Clone(base)
@@ -72,7 +73,7 @@ func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 // — the invariant warm-start repair relies on for the Δ=∅ case.
 func TestSeededEmptyIsNoop(t *testing.T) {
 	pts := randPts(rng.New(5), 80, 300)
-	neigh := neighborLists(pts, neighborK)
+	neigh := NeighborLists(pts, neighborK, par.Pool{})
 	tour := GreedyEdge(pts)
 	before := slices.Clone(tour)
 	var s Scratch
@@ -93,7 +94,7 @@ func nil2() []int { return []int{} }
 // alone, and never lengthen the tour.
 func TestSeededLocalises(t *testing.T) {
 	pts := randPts(rng.New(7), 200, 500)
-	neigh := neighborLists(pts, neighborK)
+	neigh := NeighborLists(pts, neighborK, par.Pool{})
 	tour := NearestNeighbor(pts, 0)
 	before := tour.Length(pts)
 	var s Scratch
@@ -110,7 +111,7 @@ func TestSeededLocalises(t *testing.T) {
 // don't-look bits, so the result matches the deduplicated seed set.
 func TestSeededMatchesFullOnDuplicateSeeds(t *testing.T) {
 	pts := randPts(rng.New(8), 100, 300)
-	neigh := neighborLists(pts, neighborK)
+	neigh := NeighborLists(pts, neighborK, par.Pool{})
 	a := NearestNeighbor(pts, 0)
 	b := slices.Clone(a)
 	var s1, s2 Scratch

@@ -5,6 +5,7 @@ import (
 
 	"mobicol/internal/geom"
 	"mobicol/internal/obs"
+	"mobicol/internal/par"
 )
 
 // Construction selects the tour-construction heuristic.
@@ -55,6 +56,10 @@ type Options struct {
 	// (construction and each improvement pass) with the tour-length
 	// delta each stage contributed. Nil disables tracing at zero cost.
 	Obs *obs.Span
+	// Pool spreads the k-nearest list build and the sparse greedy-edge
+	// candidates of large instances across workers. The zero value runs
+	// sequentially; every pool size returns the identical tour.
+	Pool par.Pool
 }
 
 // DefaultOptions is the configuration the planners use: greedy-edge
@@ -83,15 +88,25 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		}
 	}
 	sp := opts.Obs.Child("construct")
-	var t Tour
-	// neigh is the k-nearest candidate lists; the sparse greedy-edge
-	// construction builds them, and the local searches reuse them.
+	sparse := opts.Construction == ConstructGreedy && n > greedyEdgeDenseMax
+	// neigh is the k-nearest candidate lists. The sparse greedy-edge
+	// construction and both local searches share one build.
 	var neigh [][]int
+	var knnEvals int64
+	if sparse || opts.TwoOpt || opts.OrOpt {
+		neigh, knnEvals = neighborLists(pts, neighborK, opts.Pool)
+	}
+	var t Tour
+	greedyEdges := 0
 	switch opts.Construction {
 	case ConstructNN:
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
-		t, neigh = greedyEdge(pts)
+		if sparse {
+			t, greedyEdges = greedyEdgeSparse(pts, neigh, opts.Pool)
+		} else {
+			t = greedyEdgeDense(pts)
+		}
 	case ConstructCheapest:
 		t = CheapestInsertion(pts)
 	case ConstructHull:
@@ -110,14 +125,14 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		sp.SetInt("n", int64(n))
 		//mdglint:ignore unitcheck obs boundary: trace fields carry raw numbers
 		sp.SetFloat("len", float64(t.Length(pts)))
+		if neigh != nil {
+			sp.Count("tsp.knn_evals", knnEvals)
+		}
+		if sparse {
+			sp.Count("tsp.greedy_edges", int64(greedyEdges))
+		}
 	}
 	sp.End()
-	// Both local searches work off the same k-nearest candidate lists;
-	// build them once (unless construction already did) and share them
-	// across every pass.
-	if neigh == nil && (opts.TwoOpt || opts.OrOpt) {
-		neigh = neighborLists(pts, neighborK)
-	}
 	// One scratch serves every pass: the second 2-opt pass reuses the
 	// buffers the first one grew.
 	var s Scratch
