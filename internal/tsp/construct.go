@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"mobicol/internal/geom"
 	"mobicol/internal/graph"
@@ -34,80 +33,38 @@ func NearestNeighbor(pts []geom.Point, start int) Tour {
 	return tour
 }
 
-// greedyEdgeDenseMax bounds the all-pairs greedy-edge construction: above
-// it, the O(n²) edge list (n²/2 × 24 bytes, plus the sort) stops being a
-// rounding error — at n=10k it would be 1.2 GB — and GreedyEdge switches
-// to the k-nearest sparse construction instead. Committed baselines all
-// sit far below the threshold, so their tours are unchanged.
-const greedyEdgeDenseMax = 2048
+// completeListsMax is the largest instance whose greedy-edge candidate
+// lists are complete (k = n−1): every pair of points is a candidate, the
+// candidate pass ends in one Hamiltonian path, and the construction is
+// exact greedy matching over all n(n−1)/2 edges. At 64 points that is
+// 2,016 edges, no more work than the grid-backed k-nearest build. Larger
+// instances take the neighborK nearest, an O(nk) candidate set. The limit
+// is a property of the input size, not a tuning value: any limit gives a
+// valid tour, and the instance size alone decides which one is built.
+const completeListsMax = 64
 
-// GreedyEdge builds a tour by adding the globally shortest edges that keep
-// degree <= 2 and avoid premature subtours (the "greedy matching"
-// construction; typically a few percent shorter than nearest neighbour).
-// Instances above greedyEdgeDenseMax points use the sparse k-nearest
-// variant: same greedy rule over the union of each point's k-nearest
-// candidate edges, with leftover path fragments linked nearest-first.
-func GreedyEdge(pts []geom.Point) Tour {
-	if len(pts) > greedyEdgeDenseMax {
-		t, _ := greedyEdgeSparse(pts, NeighborLists(pts, neighborK, par.Pool{}), par.Pool{})
-		return t
+// greedyListK is the candidate-list width the greedy-edge construction
+// of n points takes.
+func greedyListK(n int) int {
+	if n <= completeListsMax {
+		return n - 1
 	}
-	return greedyEdgeDense(pts)
+	return neighborK
 }
 
-// greedyEdgeDense is greedy-edge over all n(n-1)/2 edges.
-func greedyEdgeDense(pts []geom.Point) Tour {
+// GreedyEdge builds a tour by adding the shortest edges that keep degree
+// <= 2 and avoid premature subtours (the "greedy matching" construction;
+// typically a few percent shorter than nearest neighbour). The candidate
+// edges are every pair up to completeListsMax points and each point's
+// neighborK nearest above it; leftover path fragments are linked
+// nearest-first.
+func GreedyEdge(pts []geom.Point) Tour {
 	n := len(pts)
 	if n <= 3 {
 		return trivialTour(n)
 	}
-	type edge struct {
-		u, v int
-		w    float64
-	}
-	edges := make([]edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, edge{i, j, pts[i].Dist2(pts[j])})
-		}
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a].w < edges[b].w })
-	deg := make([]int, n)
-	uf := graph.NewUnionFind(n)
-	adj := make([][2]int, n)
-	for i := range adj {
-		adj[i] = [2]int{-1, -1}
-	}
-	added := 0
-	for _, e := range edges {
-		if added == n {
-			break
-		}
-		if deg[e.u] >= 2 || deg[e.v] >= 2 {
-			continue
-		}
-		if uf.Connected(e.u, e.v) && added != n-1 {
-			continue // would close a subtour early
-		}
-		uf.Union(e.u, e.v)
-		adj[e.u][deg[e.u]] = e.v
-		adj[e.v][deg[e.v]] = e.u
-		deg[e.u]++
-		deg[e.v]++
-		added++
-	}
-	// Walk the cycle.
-	tour := make(Tour, 0, n)
-	prev, cur := -1, 0
-	for len(tour) < n {
-		tour = append(tour, cur)
-		next := adj[cur][0]
-		if next == prev {
-			next = adj[cur][1]
-		}
-		prev, cur = cur, next
-	}
-	return tour
+	t, _ := greedyEdgeSparse(pts, NeighborLists(pts, greedyListK(n), par.Pool{}), par.Pool{})
+	return t
 }
 
 // candEdge is one sparse greedy-edge candidate: u < v, w their squared
@@ -130,15 +87,17 @@ func compareCandEdges(a, b candEdge) int {
 	return cmp.Compare(a.v, b.v)
 }
 
-// greedyEdgeSparse is greedy-edge over the k-nearest candidate edge set:
-// O(nk) edges instead of O(n²). Almost every edge the dense construction
-// actually uses connects near neighbours, so the tours are near-identical
-// in length; the local searches erase the rest of the gap. The candidate
-// pass generally leaves a forest of path fragments (a point whose k
-// nearest are all full keeps degree < 2), so a second pass links fragment
-// endpoints nearest-first through a kd-tree, then closes the cycle.
-// neigh is the point set's k-nearest lists (neighborLists). It also
-// returns the number of candidate edges.
+// greedyEdgeSparse is greedy-edge over the candidate edges of neigh, the
+// point set's k-nearest lists (neighborLists, one width k for every
+// point). With complete lists (k = n−1) the candidate pass links one
+// Hamiltonian path. With k-nearest lists it is O(nk) edges instead of
+// O(n²): almost every edge greedy matching uses connects near
+// neighbours, so the tours are near-identical in length and the local
+// searches erase the rest of the gap. That pass generally leaves a forest
+// of path fragments (a point whose k nearest are all full keeps degree
+// < 2), so a second pass links fragment endpoints nearest-first through
+// a kd-tree. The path is closed by linking its two ends. It also returns
+// the number of candidate edges.
 //
 // Each candidate edge appears once: a mutual pair {u, v} with v < u is
 // taken from v's list only. Its second copy could never be linked — once
@@ -149,18 +108,20 @@ func compareCandEdges(a, b candEdge) int {
 // merged sequence is the one a single global sort gives.
 func greedyEdgeSparse(pts []geom.Point, neigh [][]int, pool par.Pool) (Tour, int) {
 	n := len(pts)
+	k := len(neigh[0])
+	complete := k == n-1 // every pair is mutual
 	if n < parMinPoints {
 		pool = par.Seq()
 	}
 	// Each chunk appends into its own window of one backing array, sized
 	// for every list entry of its points.
-	backing := make([]candEdge, n*neighborK)
+	backing := make([]candEdge, n*k)
 	runs := par.MapChunks(pool, n, func(lo, hi int) []candEdge {
-		run := backing[lo*neighborK : lo*neighborK : hi*neighborK]
+		run := backing[lo*k : lo*k : hi*k]
 		for u, list := range neigh[lo:hi] {
 			u += lo
 			for _, v := range list {
-				if v < u && slices.Contains(neigh[v], u) {
+				if v < u && (complete || slices.Contains(neigh[v], u)) {
 					continue
 				}
 				a, b := min(u, v), max(u, v)
@@ -196,39 +157,41 @@ func greedyEdgeSparse(pts []geom.Point, neigh [][]int, pool par.Pool) (Tour, int
 		}
 		link(u, v)
 	}
-	// Link the remaining fragments: for the lowest-index endpoint, attach
-	// the nearest endpoint of another fragment, until one path remains.
-	// Degrees only grow, so only the points of degree < 2 now can ever be
-	// linked, and the kd-tree indexes those alone. ends ascends, so the
-	// tree's lower-index tie-break is the lower point id, as it would be
-	// over all points.
-	var ends []int
+	if added < n-1 {
+		// Link the remaining fragments: for the lowest-index endpoint,
+		// attach the nearest endpoint of another fragment, until one path
+		// remains. Degrees only grow, so only the points of degree < 2
+		// now can ever be linked, and the kd-tree indexes those alone.
+		// ends ascends, so the tree's lower-index tie-break is the lower
+		// point id, as it would be over all points.
+		var ends []int
+		for i, d := range deg {
+			if d < 2 {
+				ends = append(ends, i)
+			}
+		}
+		endPts := make([]geom.Point, len(ends))
+		for e, i := range ends {
+			endPts[e] = pts[i]
+		}
+		kt := geom.NewKDTree(endPts)
+		scan := 0
+		for added < n-1 {
+			for deg[ends[scan]] >= 2 {
+				scan++
+			}
+			u := ends[scan]
+			e, _ := kt.Nearest(pts[u], func(e int) bool {
+				j := ends[e]
+				return j == u || deg[j] >= 2 || uf.Connected(u, j)
+			})
+			link(u, ends[e])
+		}
+	}
+	// Close the Hamiltonian path into a cycle: its two ends, lower first.
+	a, b := -1, -1
 	for i, d := range deg {
 		if d < 2 {
-			ends = append(ends, i)
-		}
-	}
-	endPts := make([]geom.Point, len(ends))
-	for e, i := range ends {
-		endPts[e] = pts[i]
-	}
-	kt := geom.NewKDTree(endPts)
-	scan := 0
-	for added < n-1 {
-		for deg[ends[scan]] >= 2 {
-			scan++
-		}
-		u := ends[scan]
-		e, _ := kt.Nearest(pts[u], func(e int) bool {
-			j := ends[e]
-			return j == u || deg[j] >= 2 || uf.Connected(u, j)
-		})
-		link(u, ends[e])
-	}
-	// Close the Hamiltonian path into a cycle.
-	a, b := -1, -1
-	for _, i := range ends {
-		if deg[i] < 2 {
 			if a < 0 {
 				a = i
 			} else {

@@ -3,12 +3,15 @@ package tsp
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"mobicol/internal/geom"
 	"mobicol/internal/graph"
+	"mobicol/internal/obs"
 	"mobicol/internal/par"
 	"mobicol/internal/rng"
 )
@@ -54,18 +57,42 @@ type namedPoints struct {
 	pts  []geom.Point
 }
 
-// TestNeighborListsMatchFullSort pins the grid-backed construction to the
-// quadratic oracle: same neighbours, same order, for every point (every
-// 97th point above the parallel threshold, where the oracle is slow), on
-// every point shape and at every pool size.
+// sortedNeighbors is the reference k-nearest list of point i: every
+// other point, fully sorted by squared distance, ties toward the lower
+// index.
+func sortedNeighbors(pts []geom.Point, i, k int) []int {
+	cand := make([]int, 0, len(pts)-1)
+	for j := range pts {
+		if j != i {
+			cand = append(cand, j)
+		}
+	}
+	sort.Slice(cand, func(a, b int) bool {
+		da, db := pts[cand[a]].Dist2(pts[i]), pts[cand[b]].Dist2(pts[i])
+		if da < db {
+			return true
+		}
+		if db < da {
+			return false
+		}
+		return cand[a] < cand[b]
+	})
+	return cand[:k:k]
+}
+
+// TestNeighborListsMatchFullSort pins the grid-backed construction and
+// the complete lists (k = n−1) to the quadratic oracle: same neighbours,
+// same order, for every point (every 97th point above the parallel
+// threshold, where the oracle is slow), on every point shape and at
+// every pool size.
 func TestNeighborListsMatchFullSort(t *testing.T) {
-	check := func(name string, pts []geom.Point, stride int) {
+	check := func(name string, pts []geom.Point, k, stride int) {
 		t.Helper()
-		k := min(neighborK, len(pts)-1)
 		lists := make([][][]int, 0, len(testPools()))
 		for _, pool := range testPools() {
-			lists = append(lists, NeighborLists(pts, neighborK, pool))
+			lists = append(lists, NeighborLists(pts, k, pool))
 		}
+		k = min(k, len(pts)-1)
 		for i := 0; i < len(pts); i += stride {
 			want := sortedNeighbors(pts, i, k)
 			for p, pool := range testPools() {
@@ -77,14 +104,17 @@ func TestNeighborListsMatchFullSort(t *testing.T) {
 	}
 	for _, n := range []int{5, 30, 200} {
 		for seed := uint64(5); seed < 8; seed++ {
-			check(fmt.Sprintf("n=%d seed=%d", n, seed), randPts(rng.New(seed), n, 300), 1)
+			check(fmt.Sprintf("n=%d seed=%d", n, seed), randPts(rng.New(seed), n, 300), neighborK, 1)
 		}
 	}
 	for _, set := range pointSets(9, 600) {
-		check(set.name+" n=600", set.pts, 1)
+		check(set.name+" n=600", set.pts, neighborK, 1)
+	}
+	for _, set := range pointSets(11, completeListsMax) {
+		check(set.name+" complete", set.pts, completeListsMax-1, 1)
 	}
 	for _, set := range pointSets(10, parMinPoints+900) {
-		check(fmt.Sprintf("%s n=%d", set.name, len(set.pts)), set.pts, 97)
+		check(fmt.Sprintf("%s n=%d", set.name, len(set.pts)), set.pts, neighborK, 97)
 	}
 }
 
@@ -99,6 +129,75 @@ func TestNeighborListsEvalsPoolIndependent(t *testing.T) {
 	for _, pool := range testPools() {
 		if _, got := neighborLists(pts, neighborK, pool); got != want {
 			t.Fatalf("workers=%d: %d evaluations, sequential %d", pool.Size(), got, want)
+		}
+	}
+}
+
+// greedyEdgeDenseOracle is greedy matching over all n(n-1)/2 edges, the
+// reference the complete-list construction must reproduce tour for tour.
+func greedyEdgeDenseOracle(pts []geom.Point) Tour {
+	n := len(pts)
+	if n <= 3 {
+		return trivialTour(n)
+	}
+	type edge struct {
+		u, v int
+		w    float64
+	}
+	edges := make([]edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, edge{i, j, pts[i].Dist2(pts[j])})
+		}
+	}
+	sort.Slice(edges, func(a, b int) bool { return edges[a].w < edges[b].w })
+	deg := make([]int, n)
+	uf := graph.NewUnionFind(n)
+	adj := make([][2]int, n)
+	for i := range adj {
+		adj[i] = [2]int{-1, -1}
+	}
+	added := 0
+	for _, e := range edges {
+		if added == n {
+			break
+		}
+		if deg[e.u] >= 2 || deg[e.v] >= 2 {
+			continue
+		}
+		if uf.Connected(e.u, e.v) && added != n-1 {
+			continue // would close a subtour early
+		}
+		uf.Union(e.u, e.v)
+		adj[e.u][deg[e.u]] = e.v
+		adj[e.v][deg[e.v]] = e.u
+		deg[e.u]++
+		deg[e.v]++
+		added++
+	}
+	tour := make(Tour, 0, n)
+	prev, cur := -1, 0
+	for len(tour) < n {
+		tour = append(tour, cur)
+		next := adj[cur][0]
+		if next == prev {
+			next = adj[cur][1]
+		}
+		prev, cur = cur, next
+	}
+	return tour
+}
+
+// TestGreedyEdgeMatchesDenseOracle pins the complete-list construction
+// to greedy matching over every edge: up to completeListsMax points,
+// GreedyEdge returns the dense oracle's exact tour.
+func TestGreedyEdgeMatchesDenseOracle(t *testing.T) {
+	for n := 4; n <= completeListsMax; n++ {
+		for seed := uint64(1); seed <= 4; seed++ {
+			pts := randPts(rng.New(seed*1000+uint64(n)), n, 200)
+			if got, want := GreedyEdge(pts), greedyEdgeDenseOracle(pts); !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: %v, want %v", n, seed, got, want)
+			}
 		}
 	}
 }
@@ -274,25 +373,55 @@ func TestNeighborListsCapped(t *testing.T) {
 	}
 }
 
-// TestSolveSharesSparseNeighborLists pins the shared-list path: on the
-// sparse greedy-edge path, Solve hands the construction's k-nearest lists
-// to the local searches, and must return the same tour as GreedyEdge
-// followed by the three improvement passes over separately built lists.
+// TestSolveSharesSparseNeighborLists pins the shared-list path: Solve
+// hands the construction's candidate lists to the local searches as
+// their neighborK-wide prefixes, and must return the same tour as the
+// construction followed by the three improvement passes over separately
+// built k = neighborK lists. Up to completeListsMax points the
+// construction is the dense oracle's greedy matching.
 func TestSolveSharesSparseNeighborLists(t *testing.T) {
 	opts := DefaultOptions()
-	n := greedyEdgeDenseMax + 300
-	for seed := uint64(31); seed < 33; seed++ {
-		pts := randPts(rng.New(seed), n, 2000)
-		want := GreedyEdge(pts)
-		neigh := NeighborLists(pts, neighborK, par.Pool{})
-		var s Scratch
-		s.TwoOpt(pts, want, neigh)
-		s.OrOpt(pts, want, neigh)
-		s.TwoOpt(pts, want, neigh)
-		got := Solve(pts, opts)
-		if !slices.Equal(got, want) {
-			t.Fatalf("seed %d: Solve's tour differs from GreedyEdge + separate lists", seed)
+	for _, n := range []int{13, 40, completeListsMax, 2348} {
+		for seed := uint64(31); seed < 33; seed++ {
+			pts := randPts(rng.New(seed), n, 2000)
+			want := GreedyEdge(pts)
+			if n <= completeListsMax {
+				want = greedyEdgeDenseOracle(pts)
+			}
+			neigh := NeighborLists(pts, neighborK, par.Pool{})
+			var s Scratch
+			s.TwoOpt(pts, want, neigh)
+			s.OrOpt(pts, want, neigh)
+			s.TwoOpt(pts, want, neigh)
+			got := Solve(pts, opts)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: Solve's tour differs from the construction + separate lists", n, seed)
+			}
 		}
+	}
+}
+
+// TestSolveGreedyWorkLinear keeps the O(n²) construction from coming
+// back: a traced greedy Solve of 2000 points records its k-nearest
+// evaluations and at most neighborK candidate edges per point.
+func TestSolveGreedyWorkLinear(t *testing.T) {
+	n := 2000
+	pts := randPts(rng.New(41), n, 25*math.Sqrt(float64(n)))
+	tr := obs.New(io.Discard)
+	sp := tr.Start("solve")
+	opts := DefaultOptions()
+	opts.Obs = sp
+	Solve(pts, opts)
+	sp.End()
+	counts := map[string]int64{}
+	for _, c := range tr.Registry().Snapshot().Counters {
+		counts[c.Name] = c.Value
+	}
+	if _, ok := counts["tsp.knn_evals"]; !ok {
+		t.Fatalf("no tsp.knn_evals counter in %v", counts)
+	}
+	if got, ok := counts["tsp.greedy_edges"]; !ok || got > int64(neighborK*n) {
+		t.Fatalf("tsp.greedy_edges = %d (recorded %v), want at most %d", got, ok, neighborK*n)
 	}
 }
 

@@ -2,7 +2,6 @@ package tsp
 
 import (
 	"math"
-	"sort"
 
 	"mobicol/internal/geom"
 	"mobicol/internal/par"
@@ -38,9 +37,9 @@ const knnStartCells = 2.5
 // with candidate distances computed through the flat-slice batch kernel
 // and the k nearest kept by insertion into a k-slot prefix. Every disk
 // hit is nearer than every miss, so the result is the exact k-nearest
-// set however the grid is sized and wherever the radius starts. Only
-// degenerate geometry (all points coincident), where a grid cannot be
-// built, falls back to a full sort.
+// set however the grid is sized and wherever the radius starts. Complete
+// lists (k = n−1) and degenerate geometry (all points coincident), where
+// a grid cannot be built, take every other point as a candidate instead.
 //
 // Each point's list depends on the point set alone and lands in its own
 // window of the backing array, so the points are split into pool chunks
@@ -65,10 +64,12 @@ func neighborLists(pts []geom.Point, k int, pool par.Pool) ([][]int, int64) {
 	b := geom.Bound(pts)
 	w, h := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
 	span := max(w, h)
-	if !(span > 0) {
-		// Coincident points: no usable grid cell. Quadratic fallback.
+	if k == n-1 || !(span > 0) {
+		// Complete lists need no grid, and coincident points have no
+		// usable grid cell: every other point is a candidate.
+		cand, keys := make([]int32, 0, n-1), make([]float64, 0, n-1)
 		for i := range lists {
-			copy(lists[i], sortedNeighbors(pts, i, k))
+			cand, keys = nearestAll(pts, i, lists[i], cand, keys)
 		}
 		return lists, int64(n) * int64(n-1)
 	}
@@ -104,7 +105,7 @@ func neighborLists(pts []geom.Point, k int, pool par.Pool) ([][]int, int64) {
 				// Unreachable once r exceeds the bounding-box diagonal
 				// (every point is within diag of every other), but keep
 				// the exact path as a safety net.
-				copy(lists[i], sortedNeighbors(pts, i, k))
+				cand, keys = nearestAll(pts, i, lists[i], cand, keys)
 				count += int64(n - 1)
 				continue
 			}
@@ -168,32 +169,22 @@ func nearer(d float64, j int32, e float64, l int32) bool {
 	return j < l
 }
 
-// sortedNeighbors is the exact quadratic construction of one point's
-// k-nearest list; neighborLists uses it only for degenerate geometry.
-func sortedNeighbors(pts []geom.Point, i, k int) []int {
-	cand := make([]int, 0, len(pts)-1)
+// nearestAll fills list with the len(list) points nearest pts[i] in
+// (d², index) order, from a scan of every other point: the exact
+// quadratic construction. cand and keys are scratch, returned for reuse.
+func nearestAll(pts []geom.Point, i int, list []int, cand []int32, keys []float64) ([]int32, []float64) {
+	cand, keys = cand[:0], keys[:0]
 	for j := range pts {
 		if j != i {
-			cand = append(cand, j)
+			cand = append(cand, int32(j))
+			keys = append(keys, pts[i].Dist2(pts[j]))
 		}
 	}
-	sortByDist(pts, i, cand)
-	return cand[:k:k]
-}
-
-// sortByDist orders cand by ascending squared distance to pts[i], ties
-// toward the lower index so the order is total and path-independent.
-func sortByDist(pts []geom.Point, i int, cand []int) {
-	sort.Slice(cand, func(a, b int) bool {
-		da, db := pts[cand[a]].Dist2(pts[i]), pts[cand[b]].Dist2(pts[i])
-		if da < db {
-			return true
-		}
-		if db < da {
-			return false
-		}
-		return cand[a] < cand[b]
-	})
+	nearestK(cand, keys, len(list))
+	for j := range list {
+		list[j] = int(cand[j])
+	}
+	return cand, keys
 }
 
 // Scratch holds the reusable working state of the local-search passes.
@@ -250,6 +241,20 @@ func TwoOpt(pts []geom.Point, tour Tour) int {
 func NeighborLists(pts []geom.Point, k int, pool par.Pool) [][]int {
 	lists, _ := neighborLists(pts, k, pool)
 	return lists
+}
+
+// prefixLists narrows sorted candidate lists to their first k entries.
+// The lists are sorted by (d², index), so the prefixes are exactly the
+// k-nearest lists neighborLists builds for k.
+func prefixLists(lists [][]int, k int) [][]int {
+	if len(lists) == 0 || len(lists[0]) <= k {
+		return lists
+	}
+	out := make([][]int, len(lists))
+	for i, l := range lists {
+		out[i] = l[:k:k]
+	}
+	return out
 }
 
 // TwoOptNeighbors is TwoOpt over a caller-supplied neighbour list, so a

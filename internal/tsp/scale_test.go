@@ -8,11 +8,11 @@ import (
 	"mobicol/internal/rng"
 )
 
-// TestGreedyEdgeSparseValid pins the large-n construction path: above
-// greedyEdgeDenseMax, GreedyEdge must still emit a valid Hamiltonian
-// cycle and stay competitive with nearest neighbour.
+// TestGreedyEdgeSparseValid pins the large-n construction path: with
+// k-nearest candidate lists, GreedyEdge must still emit a valid
+// Hamiltonian cycle and stay competitive with nearest neighbour.
 func TestGreedyEdgeSparseValid(t *testing.T) {
-	n := greedyEdgeDenseMax + 500
+	n := 2548
 	pts := randPts(rng.New(3), n, 2000)
 	tour := GreedyEdge(pts)
 	if err := tour.Validate(n); err != nil {
@@ -25,13 +25,13 @@ func TestGreedyEdgeSparseValid(t *testing.T) {
 	}
 }
 
-// TestGreedyEdgeSparseMatchesDenseQuality compares the sparse and dense
-// constructions on the same mid-size instance (forcing the sparse path
-// directly): the k-nearest edge set should land within a few percent.
+// TestGreedyEdgeSparseMatchesDenseQuality compares the sparse
+// construction with greedy matching over every edge on the same mid-size
+// instance: the k-nearest edge set should land within a few percent.
 func TestGreedyEdgeSparseMatchesDenseQuality(t *testing.T) {
 	for seed := uint64(9); seed < 12; seed++ {
 		pts := randPts(rng.New(seed), 600, 800)
-		dense := GreedyEdge(pts)
+		dense := greedyEdgeDenseOracle(pts)
 		sparse, _ := greedyEdgeSparse(pts, NeighborLists(pts, neighborK, par.Pool{}), par.Pool{})
 		if err := sparse.Validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

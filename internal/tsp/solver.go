@@ -88,13 +88,18 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		}
 	}
 	sp := opts.Obs.Child("construct")
-	sparse := opts.Construction == ConstructGreedy && n > greedyEdgeDenseMax
-	// neigh is the k-nearest candidate lists. The sparse greedy-edge
-	// construction and both local searches share one build.
+	greedy := opts.Construction == ConstructGreedy
+	// neigh is the sorted candidate lists the greedy-edge construction
+	// and both local searches share: greedy-edge takes them whole, the
+	// local searches their neighborK-wide prefixes.
 	var neigh [][]int
 	var knnEvals int64
-	if sparse || opts.TwoOpt || opts.OrOpt {
-		neigh, knnEvals = neighborLists(pts, neighborK, opts.Pool)
+	if greedy || opts.TwoOpt || opts.OrOpt {
+		k := neighborK
+		if greedy {
+			k = greedyListK(n)
+		}
+		neigh, knnEvals = neighborLists(pts, k, opts.Pool)
 	}
 	var t Tour
 	greedyEdges := 0
@@ -102,11 +107,7 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	case ConstructNN:
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
-		if sparse {
-			t, greedyEdges = greedyEdgeSparse(pts, neigh, opts.Pool)
-		} else {
-			t = greedyEdgeDense(pts)
-		}
+		t, greedyEdges = greedyEdgeSparse(pts, neigh, opts.Pool)
 	case ConstructCheapest:
 		t = CheapestInsertion(pts)
 	case ConstructHull:
@@ -128,7 +129,7 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		if neigh != nil {
 			sp.Count("tsp.knn_evals", knnEvals)
 		}
-		if sparse {
+		if greedy {
 			sp.Count("tsp.greedy_edges", int64(greedyEdges))
 		}
 	}
@@ -136,6 +137,7 @@ func Solve(pts []geom.Point, opts Options) Tour {
 	// One scratch serves every pass: the second 2-opt pass reuses the
 	// buffers the first one grew.
 	var s Scratch
+	neigh = prefixLists(neigh, neighborK)
 	twoOpt := func(p []geom.Point, t Tour) int { return s.TwoOpt(p, t, neigh) }
 	orOpt := func(p []geom.Point, t Tour) int { return s.OrOpt(p, t, neigh) }
 	if opts.TwoOpt {
