@@ -4,10 +4,7 @@
 // coverage gain is a popcount of AndNot rather than a per-sensor scan.
 package bitset
 
-import (
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 const wordBits = 64
 
@@ -82,20 +79,6 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Copy overwrites s with the contents of o. The two sets must have equal
-// capacity.
-func (s *Set) Copy(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
-}
-
-// Clear removes every element.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Fill sets every bit in [0, n).
 func (s *Set) Fill() {
 	for i := range s.words {
@@ -142,62 +125,6 @@ func (s *Set) AndNot(o *Set) {
 	}
 }
 
-// CountAndNot returns |s \ o| without modifying either set. This is the
-// greedy set cover "marginal gain" primitive.
-func (s *Set) CountAndNot(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w &^ o.words[i])
-	}
-	return c
-}
-
-// CountAnd returns |s ∩ o| without modifying either set.
-func (s *Set) CountAnd(o *Set) int {
-	s.mustMatch(o)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & o.words[i])
-	}
-	return c
-}
-
-// IntersectsWith reports whether s and o share any element.
-func (s *Set) IntersectsWith(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every element of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.mustMatch(o)
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o contain exactly the same elements.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // NextSet returns the smallest set bit >= i, or -1 when none exists.
 func (s *Set) NextSet(i int) int {
 	if i < 0 {
@@ -227,34 +154,4 @@ func (s *Set) ForEach(fn func(i int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// Slice returns the set elements in ascending order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-// String renders the set as "{1, 5, 9}".
-func (s *Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	s.ForEach(func(i int) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		writeInt(&b, i)
-	})
-	b.WriteByte('}')
-	return b.String()
-}
-
-func writeInt(b *strings.Builder, v int) {
-	if v >= 10 {
-		writeInt(b, v/10)
-	}
-	b.WriteByte(byte('0' + v%10))
 }

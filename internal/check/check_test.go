@@ -260,7 +260,7 @@ func TestScenariosDeterministic(t *testing.T) {
 			t.Fatalf("scenario %d: layout %v, want %v", i, a[i].Layout, want)
 		}
 		for j := 0; j < a[i].Net.N(); j++ {
-			if !a[i].Net.Field.Contains(a[i].Net.Nodes[j].Pos) {
+			if p := a[i].Net.Nodes[j].Pos; p != a[i].Net.Field.Clamp(p) {
 				t.Fatalf("scenario %d sensor %d outside field", i, j)
 			}
 		}

@@ -25,7 +25,9 @@ func naiveGreedy(in *Instance, tieBreak geom.Point) ([]int, error) {
 		best, bestGain := -1, 0
 		var bestDist float64
 		for c, set := range in.CoverSets() {
-			gain := set.CountAnd(uncovered)
+			newly := set.Clone()
+			newly.And(uncovered)
+			gain := newly.Count()
 			if gain == 0 {
 				continue
 			}

@@ -160,3 +160,29 @@ func TestCancelUnderLoad(t *testing.T) {
 		}
 	})
 }
+
+// TestExtremeRangesEveryPlanner plans a small field at ranges far outside
+// the grid's scale: 1e300 m, where a range query's cell span overflows
+// int, and 1e-9 m, whose range-sized cell table would not fit in memory.
+// Every registered planner must return a plan that passes the oracle, or
+// an error. cla is left out at 1e-9 m: it lays one line per 2r of field
+// and has no line cap yet.
+func TestExtremeRangesEveryPlanner(t *testing.T) {
+	for _, r := range []float64{1e300, 1e-9} {
+		nw := wsn.MustDeploy(wsn.Config{N: 40, FieldSide: 200, Range: r, Seed: 11})
+		for _, name := range engine.Names() {
+			if name == "cla" && r < 1 {
+				continue
+			}
+			p, _ := engine.Lookup(name)
+			pl, _, err := p.Plan(context.Background(), engine.Scenario{Net: nw}, engine.Options{})
+			if err != nil {
+				t.Logf("%s at range %g: %v", name, r, err)
+				continue
+			}
+			if err := check.Plan(nw, pl.Tour, check.Options{UploadDist: pl.UploadDist}); err != nil {
+				t.Errorf("%s at range %g: oracle: %v", name, r, err)
+			}
+		}
+	}
+}

@@ -1,41 +1,30 @@
 package geom
 
 import (
-	"math"
 	"testing"
 
 	"mobicol/internal/rng"
 )
 
+// TestBatchKernelsMatchScalar pins the gather kernel to Point.Dist2 bit
+// for bit over random index sets, repeats included.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	s := rng.New(7)
 	pts := randPoints(s, 500, 300)
 	xs, ys := SplitXY(pts, nil, nil)
-	out := make([]float64, len(pts))
+	idx := make([]int32, 200)
+	out := make([]float64, len(idx))
 	for trial := 0; trial < 20; trial++ {
 		q := Pt(s.Uniform(-20, 320), s.Uniform(-20, 320))
-		Dist2Batch(xs, ys, q, out)
-		for i, p := range pts {
-			if out[i] != p.Dist2(q) {
-				t.Fatalf("Dist2Batch[%d] = %v, Dist2 = %v", i, out[i], p.Dist2(q))
+		for k := range idx {
+			idx[k] = int32(s.Intn(len(pts)))
+		}
+		Dist2Gather(xs, ys, idx, q, out)
+		for k, i := range idx {
+			if out[k] != pts[i].Dist2(q) {
+				t.Fatalf("Dist2Gather[%d] = %v, Dist2 = %v", k, out[k], pts[i].Dist2(q))
 			}
 		}
-		gotI, gotD2 := NearestBatch(xs, ys, q)
-		wantI := bruteNearest(pts, q)
-		if gotI != wantI || gotD2 != pts[wantI].Dist2(q) {
-			t.Fatalf("NearestBatch = (%d, %v), brute = (%d, %v)", gotI, gotD2, wantI, pts[wantI].Dist2(q))
-		}
-		r := s.Uniform(5, 80)
-		want := bruteWithin(pts, q, r)
-		if got := CountWithinBatch(xs, ys, q, r*r); got != len(want) {
-			t.Fatalf("CountWithinBatch = %d, brute = %d", got, len(want))
-		}
-		sel := SelectWithinBatch(xs, ys, q, r*r, 0, nil)
-		got := make([]int, len(sel))
-		for i, v := range sel {
-			got[i] = int(v)
-		}
-		sameIndexSet(t, got, want, "SelectWithinBatch")
 	}
 }
 
@@ -53,21 +42,6 @@ func TestDist2Gather(t *testing.T) {
 	}
 }
 
-func TestSelectWithinBatchBase(t *testing.T) {
-	xs := []float64{0, 1, 2}
-	ys := []float64{0, 0, 0}
-	got := SelectWithinBatch(xs, ys, Pt(0, 0), 1.1, 100, nil)
-	if len(got) != 2 || got[0] != 100 || got[1] != 101 {
-		t.Fatalf("SelectWithinBatch with base = %v", got)
-	}
-}
-
-func TestNearestBatchEmpty(t *testing.T) {
-	if i, d := NearestBatch(nil, nil, Pt(0, 0)); i != -1 || !math.IsInf(d, 1) {
-		t.Fatalf("NearestBatch(empty) = (%d, %v)", i, d)
-	}
-}
-
 func TestSplitXYReusesBuffers(t *testing.T) {
 	pts := []Point{Pt(1, 2), Pt(3, 4)}
 	xs := make([]float64, 0, 8)
@@ -78,15 +52,19 @@ func TestSplitXYReusesBuffers(t *testing.T) {
 	}
 }
 
-func BenchmarkDist2Batch10k(b *testing.B) {
+func BenchmarkDist2Gather10k(b *testing.B) {
 	pts := randPoints(rng.New(1), 10_000, 2000)
 	xs, ys := SplitXY(pts, nil, nil)
+	idx := make([]int32, len(pts))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
 	out := make([]float64, len(pts))
 	q := Pt(1000, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Dist2Batch(xs, ys, q, out)
+		Dist2Gather(xs, ys, idx, q, out)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Edge-case tables for degenerate geometry: coincident points, zero-length
-// tours, and collinear configurations. The coincident/collinear scenario
-// layouts in internal/check push the planners through these predicates, so
-// they are pinned here at the primitive level.
+// Edge-case tables for degenerate geometry: coincident points and extreme
+// separations. The coincident/collinear scenario layouts in internal/check
+// push the planners through these primitives, so they are pinned here at
+// the primitive level.
 
 func TestDistDegenerate(t *testing.T) {
 	cases := []struct {
@@ -39,70 +39,6 @@ func TestDistDegenerate(t *testing.T) {
 				t.Fatalf("Dist2 = %v, want %v", d2, tc.want*tc.want)
 			}
 		})
-	}
-}
-
-func TestPathLengthDegenerate(t *testing.T) {
-	cases := []struct {
-		name       string
-		pts        []Point
-		open, loop float64
-	}{
-		{"empty", nil, 0, 0},
-		{"single", []Point{Pt(4, 5)}, 0, 0},
-		{"two-coincident", []Point{Pt(1, 1), Pt(1, 1)}, 0, 0},
-		{"all-coincident", []Point{Pt(2, 3), Pt(2, 3), Pt(2, 3), Pt(2, 3)}, 0, 0},
-		{"zero-area-loop", []Point{Pt(0, 0), Pt(10, 0)}, 10, 20},
-		{"unit-square", []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}, 3, 4},
-		{"collinear-backtrack", []Point{Pt(0, 0), Pt(5, 0), Pt(2, 0)}, 8, 10},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := PathLength(tc.pts); got != Meters(tc.open) {
-				t.Fatalf("PathLength = %v, want %v", got, tc.open)
-			}
-			if got := ClosedPathLength(tc.pts); got != Meters(tc.loop) {
-				t.Fatalf("ClosedPathLength = %v, want %v", got, tc.loop)
-			}
-		})
-	}
-}
-
-func TestOrientationDegenerate(t *testing.T) {
-	cases := []struct {
-		name    string
-		a, b, c Point
-		want    int
-	}{
-		{"all-coincident", Pt(1, 1), Pt(1, 1), Pt(1, 1), 0},
-		{"two-coincident", Pt(0, 0), Pt(0, 0), Pt(5, 5), 0},
-		{"collinear-horizontal", Pt(0, 0), Pt(5, 0), Pt(10, 0), 0},
-		{"collinear-reversed", Pt(10, 0), Pt(5, 0), Pt(0, 0), 0},
-		{"collinear-large-coords", Pt(1e6, 1e6), Pt(2e6, 2e6), Pt(3e6, 3e6), 0},
-		{"ccw", Pt(0, 0), Pt(1, 0), Pt(1, 1), 1},
-		{"cw", Pt(0, 0), Pt(1, 0), Pt(1, -1), -1},
-		{"near-collinear-within-eps", Pt(0, 0), Pt(1, 0), Pt(2, 1e-13), 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := Orientation(tc.a, tc.b, tc.c); got != tc.want {
-				t.Fatalf("Orientation = %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
-func TestConvexHullCoincidentAndCollinear(t *testing.T) {
-	// Coincident and collinear inputs must not panic and must return a
-	// hull whose perimeter PathLength agrees with.
-	all := []Point{Pt(3, 3), Pt(3, 3), Pt(3, 3)}
-	if h := ConvexHull(all); len(h) < 1 {
-		t.Fatalf("hull of coincident points: %v", h)
-	}
-	line := []Point{Pt(0, 0), Pt(2, 2), Pt(4, 4), Pt(1, 1)}
-	h := ConvexHull(line)
-	if area := PolygonArea(h); math.Abs(area) > 1e-9 {
-		t.Fatalf("collinear hull has area %v", area)
 	}
 }
 

@@ -10,6 +10,12 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// onBoundary reports whether p lies on c's boundary within a relative
+// 1e-6: the oracle for computed intersection points.
+func onBoundary(c Circle, p Point) bool {
+	return math.Abs(c.C.Dist(p)-c.R) <= 1e-6*(1+c.R)
+}
+
 func TestPointArithmetic(t *testing.T) {
 	p, q := Pt(1, 2), Pt(3, -4)
 	if got := p.Add(q); got != Pt(4, -2) {
@@ -50,17 +56,6 @@ func TestLerpEndpoints(t *testing.T) {
 	}
 }
 
-func TestRotatePreservesNorm(t *testing.T) {
-	s := rng.New(2)
-	for i := 0; i < 500; i++ {
-		p := Pt(s.Uniform(-5, 5), s.Uniform(-5, 5))
-		theta := s.Uniform(0, 2*math.Pi)
-		if !almostEq(p.Rotate(theta).Norm(), p.Norm(), 1e-9) {
-			t.Fatalf("rotation changed norm of %v", p)
-		}
-	}
-}
-
 func TestPolar(t *testing.T) {
 	p := Pt(1, 1).Polar(2, math.Pi/2)
 	if !p.Eq(Pt(1, 3)) {
@@ -72,31 +67,6 @@ func TestCentroid(t *testing.T) {
 	c := Centroid([]Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)})
 	if !c.Eq(Pt(1, 1)) {
 		t.Fatalf("Centroid = %v", c)
-	}
-}
-
-func TestOrientation(t *testing.T) {
-	if Orientation(Pt(0, 0), Pt(1, 0), Pt(1, 1)) != 1 {
-		t.Fatal("ccw not detected")
-	}
-	if Orientation(Pt(0, 0), Pt(1, 0), Pt(1, -1)) != -1 {
-		t.Fatal("cw not detected")
-	}
-	if Orientation(Pt(0, 0), Pt(1, 0), Pt(2, 0)) != 0 {
-		t.Fatal("collinear not detected")
-	}
-}
-
-func TestPathLengths(t *testing.T) {
-	sq := []Point{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(0, 1)}
-	if got := PathLength(sq); !almostEq(float64(got), 3, 1e-12) {
-		t.Fatalf("PathLength = %v", got)
-	}
-	if got := ClosedPathLength(sq); !almostEq(float64(got), 4, 1e-12) {
-		t.Fatalf("ClosedPathLength = %v", got)
-	}
-	if ClosedPathLength([]Point{Pt(3, 3)}) != 0 {
-		t.Fatal("singleton closed path should be 0")
 	}
 }
 
@@ -129,24 +99,6 @@ func TestSegmentDegenerate(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersects(t *testing.T) {
-	cases := []struct {
-		a, b Segment
-		want bool
-	}{
-		{Seg(Pt(0, 0), Pt(2, 2)), Seg(Pt(0, 2), Pt(2, 0)), true},
-		{Seg(Pt(0, 0), Pt(1, 1)), Seg(Pt(2, 2), Pt(3, 3)), false},
-		{Seg(Pt(0, 0), Pt(2, 0)), Seg(Pt(1, 0), Pt(3, 0)), true}, // collinear overlap
-		{Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(1, 0), Pt(2, 1)), true}, // shared endpoint
-		{Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(0, 1), Pt(1, 1)), false},
-	}
-	for i, c := range cases {
-		if got := c.a.Intersects(c.b); got != c.want {
-			t.Fatalf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
 func TestSegmentIntersectionPoint(t *testing.T) {
 	p, ok := Seg(Pt(0, 0), Pt(2, 2)).Intersection(Seg(Pt(0, 2), Pt(2, 0)))
 	if !ok || !p.Eq(Pt(1, 1)) {
@@ -154,22 +106,6 @@ func TestSegmentIntersectionPoint(t *testing.T) {
 	}
 	if _, ok := Seg(Pt(0, 0), Pt(1, 0)).Intersection(Seg(Pt(0, 1), Pt(1, 1))); ok {
 		t.Fatal("parallel segments should not intersect")
-	}
-}
-
-func TestCircleContains(t *testing.T) {
-	c := Circle{Pt(0, 0), 5}
-	if !c.Contains(Pt(3, 4)) {
-		t.Fatal("boundary point not contained")
-	}
-	if c.Contains(Pt(3.1, 4.1)) {
-		t.Fatal("exterior point contained")
-	}
-	if !c.ContainsStrict(Pt(1, 1)) {
-		t.Fatal("interior point not strictly contained")
-	}
-	if c.ContainsStrict(Pt(3, 4)) {
-		t.Fatal("boundary point strictly contained")
 	}
 }
 
@@ -181,7 +117,7 @@ func TestCircleIntersectTwoPoints(t *testing.T) {
 		t.Fatalf("got %d intersection points, want 2", len(pts))
 	}
 	for _, p := range pts {
-		if !a.OnBoundary(p) || !b.OnBoundary(p) {
+		if !onBoundary(a, p) || !onBoundary(b, p) {
 			t.Fatalf("intersection point %v not on both boundaries", p)
 		}
 	}
@@ -216,7 +152,7 @@ func TestQuickCircleIntersection(t *testing.T) {
 		a := Circle{Pt(s.Uniform(-10, 10), s.Uniform(-10, 10)), s.Uniform(0.5, 8)}
 		b := Circle{Pt(s.Uniform(-10, 10), s.Uniform(-10, 10)), s.Uniform(0.5, 8)}
 		for _, p := range a.Intersect(b) {
-			if !a.OnBoundary(p) || !b.OnBoundary(p) {
+			if !onBoundary(a, p) || !onBoundary(b, p) {
 				return false
 			}
 		}
@@ -247,14 +183,11 @@ func TestCoverPointCandidatesContainSites(t *testing.T) {
 
 func TestRectBasics(t *testing.T) {
 	r := Square(100)
-	if r.Width() != 100 || r.Height() != 100 || r.Area() != 10000 {
+	if r.Width() != 100 || r.Height() != 100 {
 		t.Fatal("Square dimensions wrong")
 	}
 	if !r.Center().Eq(Pt(50, 50)) {
 		t.Fatal("Square centre wrong")
-	}
-	if !r.Contains(Pt(0, 0)) || !r.Contains(Pt(100, 100)) || r.Contains(Pt(100.1, 50)) {
-		t.Fatal("Contains wrong")
 	}
 	if got := r.Clamp(Pt(-5, 120)); !got.Eq(Pt(0, 100)) {
 		t.Fatalf("Clamp = %v", got)
@@ -281,72 +214,8 @@ func TestGridPoints(t *testing.T) {
 		t.Fatalf("got %d grid points, want 9", len(pts))
 	}
 	for _, p := range pts {
-		if !Square(40).Contains(p) {
+		if p != Square(40).Clamp(p) {
 			t.Fatalf("grid point %v outside field", p)
 		}
-	}
-}
-
-func TestConvexHullSquareWithInterior(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), Pt(2, 2), Pt(1, 3)}
-	h := ConvexHull(pts)
-	if len(h) != 4 {
-		t.Fatalf("hull size %d, want 4: %v", len(h), h)
-	}
-	if !almostEq(PolygonArea(h), 16, 1e-9) {
-		t.Fatalf("hull area %v, want 16", PolygonArea(h))
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); h != nil {
-		t.Fatal("empty hull should be nil")
-	}
-	h := ConvexHull([]Point{Pt(1, 1), Pt(1, 1)})
-	if len(h) != 1 {
-		t.Fatalf("duplicate-point hull = %v", h)
-	}
-	h = ConvexHull([]Point{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 3)})
-	if len(h) != 2 {
-		t.Fatalf("collinear hull = %v", h)
-	}
-}
-
-// Property: every input point is inside (or on) the hull, and the hull is
-// convex (all turns counter-clockwise).
-func TestQuickConvexHull(t *testing.T) {
-	s := rng.New(6)
-	f := func() bool {
-		n := 3 + s.Intn(40)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(s.Uniform(0, 50), s.Uniform(0, 50))
-		}
-		h := ConvexHull(pts)
-		if len(h) < 3 {
-			return true // degenerate random draw; nothing to check
-		}
-		for i := range h {
-			j, k := (i+1)%len(h), (i+2)%len(h)
-			if Orientation(h[i], h[j], h[k]) < 0 {
-				return false
-			}
-		}
-		for _, p := range pts {
-			if !InConvexPolygon(h, p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPolygonAreaTriangle(t *testing.T) {
-	a := PolygonArea([]Point{Pt(0, 0), Pt(4, 0), Pt(0, 3)})
-	if !almostEq(a, 6, 1e-12) {
-		t.Fatalf("triangle area %v, want 6", a)
 	}
 }

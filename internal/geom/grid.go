@@ -11,9 +11,9 @@ import "math"
 // Internally the index stores the points twice: once as the caller's
 // []Point (for identity) and once as flat xs/ys coordinate slices
 // grouped by cell in CSR layout (cellStart/order). Queries scan each
-// candidate cell's contiguous coordinate range with the batch kernels
-// from batch.go instead of chasing a map of bucket slices, which is
-// both allocation-free at query time and vectorisation-friendly.
+// candidate cell's contiguous coordinate range instead of chasing a map
+// of bucket slices, which is both allocation-free at query time and
+// vectorisation-friendly.
 type GridIndex struct {
 	cell float64
 	pts  []Point
@@ -46,9 +46,18 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 		return g
 	}
 	b := Bound(pts)
+	w, h := b.Max.X-b.Min.X, b.Max.Y-b.Min.Y
+	// A cell far below the points' spread (a 1e-9 m range on a 200 m
+	// field) would ask for more cells than memory holds. Doubling the
+	// cell until the table fits keeps queries exact: a query scans every
+	// cell its radius reaches, whatever the cell size.
+	for limit := maxGridCells(len(pts)); (math.Floor(w/cell)+1)*(math.Floor(h/cell)+1) > limit; {
+		cell *= 2
+	}
+	g.cell = cell
 	g.minX, g.minY = b.Min.X, b.Min.Y
-	g.cols = int(math.Floor((b.Max.X-b.Min.X)/cell)) + 1
-	g.rows = int(math.Floor((b.Max.Y-b.Min.Y)/cell)) + 1
+	g.cols = int(math.Floor(w/cell)) + 1
+	g.rows = int(math.Floor(h/cell)) + 1
 	// Counting sort by cell key. Appending point indices in input order
 	// keeps each cell's bucket ascending, matching the map-of-slices
 	// construction this replaces bit for bit.
@@ -74,6 +83,11 @@ func NewGridIndex(pts []Point, cell float64) *GridIndex {
 	}
 	return g
 }
+
+// maxGridCells bounds the cell table of an index over n points. Radius-
+// sized cells on a sparse field can outnumber the points many times over,
+// so the bound is generous: 16 cells per point plus 2^16 for small n.
+func maxGridCells(n int) float64 { return 16*float64(n) + 1<<16 }
 
 // DefaultGridOccupancy is the points-per-cell target NewGridIndexAuto
 // aims for. Around two points per cell keeps range queries touching a
@@ -148,9 +162,6 @@ func NewGridIndexFor(pts []Point, r float64) *GridIndex {
 // CellSize returns the index's cell edge length in metres.
 func (g *GridIndex) CellSize() float64 { return g.cell }
 
-// Cells returns the dimensions of the cell table.
-func (g *GridIndex) Cells() (cols, rows int) { return g.cols, g.rows }
-
 func (g *GridIndex) cellOf(p Point) (cx, cy int) {
 	cx = int(math.Floor((p.X - g.minX) / g.cell))
 	cy = int(math.Floor((p.Y - g.minY) / g.cell))
@@ -162,6 +173,22 @@ func (g *GridIndex) key(p Point) int {
 	return cy*g.cols + cx
 }
 
+// reach returns the cells [x0, x1] × [y0, y1] a query of radius r around
+// q scans: q's cell plus ceil(r/cell)+1 cells each way, clipped to the
+// grid. The bounds are clipped in floating point before they become ints,
+// so a radius far larger than the grid scans the whole grid instead of
+// overflowing int into an empty range.
+func (g *GridIndex) reach(q Point, r float64) (x0, x1, y0, y1 int) {
+	span := math.Ceil(r/g.cell) + 1
+	cx := math.Floor((q.X - g.minX) / g.cell)
+	cy := math.Floor((q.Y - g.minY) / g.cell)
+	x0 = int(math.Max(cx-span, 0))
+	x1 = int(math.Min(cx+span, float64(g.cols-1)))
+	y0 = int(math.Max(cy-span, 0))
+	y1 = int(math.Min(cy+span, float64(g.rows-1)))
+	return x0, x1, y0, y1
+}
+
 // Within appends to dst the indices of all indexed points within distance r
 // of q (inclusive) and returns the extended slice. Pass a reused buffer to
 // avoid allocation in hot loops.
@@ -170,16 +197,9 @@ func (g *GridIndex) Within(q Point, r float64, dst []int) []int {
 		return dst
 	}
 	r2 := r*r + Eps
-	span := int(math.Ceil(r/g.cell)) + 1
-	cx, cy := g.cellOf(q)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		lo := max(cx-span, 0)
-		hi := min(cx+span, g.cols-1)
-		for x := lo; x <= hi; x++ {
+	x0, x1, y0, y1 := g.reach(q, r)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
 			k := y*g.cols + x
 			s, e := g.cellStart[k], g.cellStart[k+1]
 			xs, ys := g.xs[s:e], g.ys[s:e]
@@ -196,83 +216,20 @@ func (g *GridIndex) Within(q Point, r float64, dst []int) []int {
 	return dst
 }
 
-// Nearest returns the index of the indexed point closest to q, or -1 for an
-// empty index. Ties break toward the lower index.
-func (g *GridIndex) Nearest(q Point) int {
-	if len(g.pts) == 0 {
-		return -1
-	}
-	// Expand ring by ring until a hit is found, then one more ring to be
-	// safe (a closer point can live in the next ring than the first hit's).
-	best, bestD2 := -1, math.Inf(1)
-	cx, cy := g.cellOf(q)
-	// The search must be able to reach every cell even when q lies far
-	// outside the indexed bounding box.
-	maxSpan := max(max(abs(cx), abs(g.cols-1-cx)), max(abs(cy), abs(g.rows-1-cy)))
-	for span := 0; span <= maxSpan; span++ {
-		found := false
-		for dy := -span; dy <= span; dy++ {
-			y := cy + dy
-			if y < 0 || y >= g.rows {
-				continue
-			}
-			for dx := -span; dx <= span; dx++ {
-				if abs(dx) != span && abs(dy) != span {
-					continue // interior already scanned in earlier rings
-				}
-				x := cx + dx
-				if x < 0 || x >= g.cols {
-					continue
-				}
-				k := y*g.cols + x
-				s, e := g.cellStart[k], g.cellStart[k+1]
-				xs, ys := g.xs[s:e], g.ys[s:e]
-				for i := range xs {
-					ddx := xs[i] - q.X
-					ddy := ys[i] - q.Y
-					d2 := ddx*ddx + ddy*ddy
-					idx := int(g.order[s+int32(i)])
-					if d2 < bestD2 || (d2 == bestD2 && idx < best) {
-						best, bestD2 = idx, d2
-						found = true
-					}
-				}
-			}
-		}
-		// Once a candidate exists and the ring is farther than the best
-		// distance, no closer point can appear.
-		if best >= 0 && !found {
-			ringDist := float64(span-1) * g.cell
-			if ringDist*ringDist > bestD2 {
-				break
-			}
-		}
-	}
-	return best
-}
-
 // NearestWithin returns the index of the closest indexed point within
 // distance r of q and its squared distance, or (-1, +inf) when no point
-// is in range. Ties break toward the lower index. Unlike Nearest it
-// never expands past the radius, so dense-field callers with a known
-// bound (warm-start stop assignment) pay O(cells under r), not O(rings
-// to the nearest point).
+// is in range. Ties break toward the lower index. It never looks past
+// the radius, so dense-field callers with a known bound (warm-start stop
+// assignment) pay O(cells under r).
 func (g *GridIndex) NearestWithin(q Point, r float64) (int, float64) {
 	best, bestD2 := -1, math.Inf(1)
 	if len(g.pts) == 0 {
 		return best, bestD2
 	}
 	bound := r*r + Eps
-	span := int(math.Ceil(r/g.cell)) + 1
-	cx, cy := g.cellOf(q)
-	for dy := -span; dy <= span; dy++ {
-		y := cy + dy
-		if y < 0 || y >= g.rows {
-			continue
-		}
-		lo := max(cx-span, 0)
-		hi := min(cx+span, g.cols-1)
-		for x := lo; x <= hi; x++ {
+	x0, x1, y0, y1 := g.reach(q, r)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
 			k := y*g.cols + x
 			s, e := g.cellStart[k], g.cellStart[k+1]
 			xs, ys := g.xs[s:e], g.ys[s:e]
@@ -291,14 +248,4 @@ func (g *GridIndex) NearestWithin(q Point, r float64) (int, float64) {
 		}
 	}
 	return best, bestD2
-}
-
-// Len returns the number of indexed points.
-func (g *GridIndex) Len() int { return len(g.pts) }
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -60,28 +60,62 @@ func TestGridIndexWithinMatchesBrute(t *testing.T) {
 		r := s.Uniform(5, 60)
 		got := g.Within(q, r, nil)
 		sameIndexSet(t, got, bruteWithin(pts, q, r), "GridIndex.Within")
+		// Radii past the grid reach every point, including ones whose
+		// cell span ceil(r/cell) overflows int.
+		for _, big := range []float64{1e6, 1e300} {
+			sameIndexSet(t, g.Within(q, big, nil), bruteWithin(pts, q, big), "huge-radius Within")
+		}
 	}
 }
 
+// TestGridIndexNearestMatchesBrute pins NearestWithin at radii that
+// reach every point, the grid's nearest-point query, to brute force.
 func TestGridIndexNearestMatchesBrute(t *testing.T) {
 	s := rng.New(11)
 	pts := randPoints(s, 200, 150)
 	g := NewGridIndex(pts, 25)
 	for trial := 0; trial < 100; trial++ {
 		q := Pt(s.Uniform(-30, 180), s.Uniform(-30, 180))
-		got := g.Nearest(q)
-		want := bruteNearest(pts, q)
-		if pts[got].Dist(q) > pts[want].Dist(q)+1e-9 {
-			t.Fatalf("Nearest returned %d (d=%v), brute %d (d=%v)",
-				got, pts[got].Dist(q), want, pts[want].Dist(q))
+		for _, r := range []float64{1e6, 1e300} {
+			got, d2 := g.NearestWithin(q, r)
+			want := bruteNearest(pts, q)
+			if got != want || d2 != pts[want].Dist2(q) {
+				t.Fatalf("r=%g: NearestWithin = (%d, %v), brute %d (d2=%v)", r, got, d2, want, pts[want].Dist2(q))
+			}
 		}
+	}
+}
+
+// TestGridIndexTinyCell indexes a 200 m field with a 1e-9 m cell, whose
+// table would not fit in memory: the index grows the cell to a table of
+// at most maxGridCells and still answers exactly.
+func TestGridIndexTinyCell(t *testing.T) {
+	s := rng.New(15)
+	pts := randPoints(s, 300, 200)
+	g := NewGridIndex(pts, 1e-9)
+	if cells := float64(g.cols) * float64(g.rows); cells > maxGridCells(len(pts)) {
+		t.Fatalf("tiny-cell table has %v cells, bound %v", cells, maxGridCells(len(pts)))
+	}
+	for trial := 0; trial < 50; trial++ {
+		q := pts[s.Intn(len(pts))]
+		for _, r := range []float64{1e-9, 0.5, 30, 1e300} {
+			sameIndexSet(t, g.Within(q, r, nil), bruteWithin(pts, q, r), "tiny-cell Within")
+			got, _ := g.NearestWithin(q, r)
+			if want := bruteNearest(pts, q); got != want {
+				t.Fatalf("tiny-cell NearestWithin = %d, brute %d", got, want)
+			}
+		}
+	}
+	// Grids whose table fits keep the cell they were given.
+	if g := NewGridIndex(pts, 30); g.CellSize() != 30 {
+		t.Fatalf("ordinary cell grown to %v", g.CellSize())
 	}
 }
 
 func TestGridIndexEmpty(t *testing.T) {
 	g := NewGridIndex(nil, 10)
-	if g.Nearest(Pt(0, 0)) != -1 {
-		t.Fatal("Nearest on empty index should be -1")
+	if i, d2 := g.NearestWithin(Pt(0, 0), 1e300); i != -1 || !math.IsInf(d2, 1) {
+		t.Fatal("NearestWithin on empty index should be (-1, +Inf)")
 	}
 	if got := g.Within(Pt(0, 0), 5, nil); len(got) != 0 {
 		t.Fatal("Within on empty index should be empty")
@@ -90,8 +124,8 @@ func TestGridIndexEmpty(t *testing.T) {
 
 func TestGridIndexSinglePoint(t *testing.T) {
 	g := NewGridIndex([]Point{Pt(7, 7)}, 10)
-	if g.Nearest(Pt(100, 100)) != 0 {
-		t.Fatal("Nearest should find the only point")
+	if i, _ := g.NearestWithin(Pt(100, 100), 200); i != 0 {
+		t.Fatal("NearestWithin should find the only point")
 	}
 	if got := g.Within(Pt(7, 8), 2, nil); len(got) != 1 {
 		t.Fatal("Within should find the only point")
@@ -118,7 +152,7 @@ func TestGridIndexAuto10k(t *testing.T) {
 	s := rng.New(42)
 	pts := randPoints(s, n, side)
 	g := NewGridIndexAuto(pts, 0)
-	cols, rows := g.Cells()
+	cols, rows := g.cols, g.rows
 	if cells := cols * rows; cells > 4*n+64 {
 		t.Fatalf("auto-sized table has %d cells for %d points; want O(n)", cells, n)
 	}
@@ -129,11 +163,8 @@ func TestGridIndexAuto10k(t *testing.T) {
 		q := Pt(s.Uniform(-40, side+40), s.Uniform(-40, side+40))
 		r := s.Uniform(5, 60)
 		sameIndexSet(t, g.Within(q, r, nil), bruteWithin(pts, q, r), "auto GridIndex.Within")
-		got := g.Nearest(q)
-		want := bruteNearest(pts, q)
-		if pts[got].Dist(q) > pts[want].Dist(q)+1e-9 {
-			t.Fatalf("auto Nearest returned %d (d=%v), brute %d (d=%v)",
-				got, pts[got].Dist(q), want, pts[want].Dist(q))
+		if got, _ := g.NearestWithin(q, 2*side); got != bruteNearest(pts, q) {
+			t.Fatalf("auto NearestWithin returned %d, brute %d", got, bruteNearest(pts, q))
 		}
 		gotIn, gotD2 := g.NearestWithin(q, r)
 		wantIn := -1
@@ -160,11 +191,11 @@ func TestGridIndexAutoDegenerate(t *testing.T) {
 	collinear := []Point{Pt(0, 5), Pt(10, 5), Pt(20, 5), Pt(30, 5)}
 	g = NewGridIndexAuto(collinear, 2)
 	sameIndexSet(t, g.Within(Pt(15, 5), 6, nil), bruteWithin(collinear, Pt(15, 5), 6), "collinear Within")
-	if g.Nearest(Pt(8, 5)) != 1 {
-		t.Fatalf("collinear Nearest = %d, want 1", g.Nearest(Pt(8, 5)))
+	if i, _ := g.NearestWithin(Pt(8, 5), 100); i != 1 {
+		t.Fatalf("collinear NearestWithin = %d, want 1", i)
 	}
-	if NewGridIndexAuto(nil, 0).Nearest(Pt(0, 0)) != -1 {
-		t.Fatal("empty auto index Nearest should be -1")
+	if i, _ := NewGridIndexAuto(nil, 0).NearestWithin(Pt(0, 0), 100); i != -1 {
+		t.Fatal("empty auto index NearestWithin should be -1")
 	}
 }
 
@@ -215,34 +246,23 @@ func TestKDTreeNearestWithSkip(t *testing.T) {
 	}
 }
 
-func TestKDTreeWithinMatchesBrute(t *testing.T) {
-	s := rng.New(13)
-	pts := randPoints(s, 300, 200)
-	kt := NewKDTree(pts)
-	for trial := 0; trial < 50; trial++ {
-		q := Pt(s.Uniform(0, 200), s.Uniform(0, 200))
-		r := s.Uniform(5, 80)
-		got := kt.Within(q, r, nil)
-		sameIndexSet(t, got, bruteWithin(pts, q, r), "KDTree.Within")
-	}
-}
-
 func TestKDTreeEmpty(t *testing.T) {
 	kt := NewKDTree(nil)
 	if i, d := kt.Nearest(Pt(0, 0), nil); i != -1 || !math.IsInf(d, 1) {
 		t.Fatal("empty KDTree Nearest should be (-1, +Inf)")
-	}
-	if got := kt.Within(Pt(0, 0), 10, nil); len(got) != 0 {
-		t.Fatal("empty KDTree Within should be empty")
 	}
 }
 
 func TestKDTreeDuplicatePoints(t *testing.T) {
 	pts := []Point{Pt(1, 1), Pt(1, 1), Pt(1, 1), Pt(2, 2)}
 	kt := NewKDTree(pts)
-	got := kt.Within(Pt(1, 1), 0.5, nil)
-	if len(got) != 3 {
-		t.Fatalf("duplicates: got %v", got)
+	// Coincident points tie at distance 0: the lowest unskipped index
+	// wins, and each skip moves to the next copy.
+	for skip := 0; skip < 3; skip++ {
+		got, d := kt.Nearest(Pt(1, 1), func(i int) bool { return i < skip })
+		if got != skip || d != 0 {
+			t.Fatalf("duplicates, skipping below %d: got (%d, %v)", skip, got, d)
+		}
 	}
 }
 

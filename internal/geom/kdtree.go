@@ -105,37 +105,3 @@ func (t *KDTree) Nearest(q Point, skip func(i int) bool) (int, float64) {
 	}
 	return best, math.Sqrt(bestD2)
 }
-
-// Within appends to dst the indices of all points within distance r of q
-// and returns the extended slice.
-func (t *KDTree) Within(q Point, r float64, dst []int) []int {
-	r2 := r*r + Eps
-	var rec func(n int32)
-	rec = func(n int32) {
-		if n < 0 {
-			return
-		}
-		node := t.nodes[n]
-		p := t.pts[node.idx]
-		if p.Dist2(q) <= r2 {
-			dst = append(dst, int(node.idx))
-		}
-		var delta float64
-		if node.axis == 0 {
-			delta = q.X - p.X
-		} else {
-			delta = q.Y - p.Y
-		}
-		if delta <= r {
-			rec(node.left)
-		}
-		if delta >= -r {
-			rec(node.right)
-		}
-	}
-	rec(t.root)
-	return dst
-}
-
-// Len returns the number of indexed points.
-func (t *KDTree) Len() int { return len(t.pts) }

@@ -1,7 +1,7 @@
 // Package geom implements the 2-D computational-geometry substrate used by
-// the data-gathering planners: points, segments, circles, convex hulls,
-// axis-aligned rectangles, and two spatial indexes (a uniform hash grid and
-// a k-d tree) for range and nearest-neighbour queries over sensor fields.
+// the data-gathering planners: points, segments, circles, axis-aligned
+// rectangles, and two spatial indexes over sensor fields: a uniform hash
+// grid for range queries and a k-d tree for nearest-neighbour queries.
 //
 // All coordinates are in metres, matching the paper's simulation setup.
 package geom
@@ -67,12 +67,6 @@ func (p Point) Eq(q Point) bool {
 	return math.Abs(p.X-q.X) <= Eps && math.Abs(p.Y-q.Y) <= Eps
 }
 
-// Rotate returns p rotated by theta radians about the origin.
-func (p Point) Rotate(theta float64) Point {
-	s, c := math.Sincos(theta)
-	return Point{p.X*c - p.Y*s, p.X*s + p.Y*c}
-}
-
 // Polar returns the point at distance r and angle theta from p.
 func (p Point) Polar(r, theta float64) Point {
 	s, c := math.Sincos(theta)
@@ -94,37 +88,4 @@ func Centroid(pts []Point) Point {
 		c.Y += p.Y
 	}
 	return c.Scale(1 / float64(len(pts)))
-}
-
-// Orientation classifies the turn a->b->c: +1 for counter-clockwise,
-// -1 for clockwise, 0 for collinear (within Eps scaled by magnitude).
-func Orientation(a, b, c Point) int {
-	v := b.Sub(a).Cross(c.Sub(a))
-	scale := math.Max(1, b.Sub(a).Norm()*c.Sub(a).Norm())
-	switch {
-	case v > Eps*scale:
-		return 1
-	case v < -Eps*scale:
-		return -1
-	default:
-		return 0
-	}
-}
-
-// PathLength returns the total length of the open polyline through pts.
-func PathLength(pts []Point) Meters {
-	total := 0.0
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return Meters(total)
-}
-
-// ClosedPathLength returns the length of the closed polygon through pts
-// (the final edge returns to pts[0]).
-func ClosedPathLength(pts []Point) Meters {
-	if len(pts) < 2 {
-		return 0
-	}
-	return PathLength(pts) + Meters(pts[len(pts)-1].Dist(pts[0]))
 }

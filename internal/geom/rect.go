@@ -26,17 +26,8 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the rectangle area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the rectangle centre — the paper's default sink location.
 func (r Rect) Center() Point { return Mid(r.Min, r.Max) }
-
-// Contains reports whether p lies in the closed rectangle.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X-Eps && p.X <= r.Max.X+Eps &&
-		p.Y >= r.Min.Y-Eps && p.Y <= r.Max.Y+Eps
-}
 
 // Clamp returns p moved to the nearest point inside the rectangle.
 func (r Rect) Clamp(p Point) Point {
@@ -49,12 +40,6 @@ func (r Rect) Clamp(p Point) Point {
 // Expand returns the rectangle grown by m on every side.
 func (r Rect) Expand(m float64) Rect {
 	return Rect{Point{r.Min.X - m, r.Min.Y - m}, Point{r.Max.X + m, r.Max.Y + m}}
-}
-
-// Intersects reports whether the two closed rectangles overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X+Eps && o.Min.X <= r.Max.X+Eps &&
-		r.Min.Y <= o.Max.Y+Eps && o.Min.Y <= r.Max.Y+Eps
 }
 
 // Bound returns the smallest rectangle containing all pts. It panics on an

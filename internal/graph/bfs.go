@@ -34,44 +34,13 @@ func MultiBFS(g *Graph, srcs []int) *BFSResult {
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, a := range g.adj[u] {
-			if r.Dist[a.To] < 0 {
-				r.Dist[a.To] = r.Dist[u] + 1
-				r.Parent[a.To] = u
-				queue = append(queue, a.To)
+		for _, v := range g.adj[u] {
+			if r.Dist[v] < 0 {
+				r.Dist[v] = r.Dist[u] + 1
+				r.Parent[v] = u
+				queue = append(queue, v)
 			}
 		}
 	}
 	return r
-}
-
-// Reached reports whether v was reached by the search.
-func (r *BFSResult) Reached(v int) bool { return r.Dist[v] >= 0 }
-
-// PathTo returns the vertex sequence from a source to v (inclusive), or nil
-// when v was not reached.
-func (r *BFSResult) PathTo(v int) []int {
-	if !r.Reached(v) {
-		return nil
-	}
-	var rev []int
-	for u := v; u != -1; u = r.Parent[u] {
-		rev = append(rev, u)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// MaxDist returns the largest finite hop count (the eccentricity of the
-// source set), or -1 when nothing was reached.
-func (r *BFSResult) MaxDist() int {
-	m := -1
-	for _, d := range r.Dist {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

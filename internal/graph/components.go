@@ -23,21 +23,15 @@ func Components(g *Graph) (comps [][]int, comp []int) {
 		members := []int{v}
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			for _, a := range g.adj[u] {
-				if comp[a.To] < 0 {
-					comp[a.To] = id
-					queue = append(queue, a.To)
-					members = append(members, a.To)
+			for _, v := range g.adj[u] {
+				if comp[v] < 0 {
+					comp[v] = id
+					queue = append(queue, v)
+					members = append(members, v)
 				}
 			}
 		}
 		comps = append(comps, members)
 	}
 	return comps, comp
-}
-
-// IsConnected reports whether g has at most one connected component.
-func IsConnected(g *Graph) bool {
-	comps, _ := Components(g)
-	return len(comps) <= 1
 }

@@ -37,7 +37,7 @@ func walkUsesEachEdgeOnce(t *testing.T, n int, edges []Edge, walk []int) {
 }
 
 func TestEulerCircuitTriangle(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {2, 0, 1}}
+	edges := []Edge{{0, 1}, {1, 2}, {2, 0}}
 	walk, err := EulerCircuit(3, edges, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestEulerCircuitTriangle(t *testing.T) {
 
 func TestEulerCircuitMultigraph(t *testing.T) {
 	// Two parallel edges form a valid circuit 0-1-0.
-	edges := []Edge{{0, 1, 1}, {0, 1, 1}}
+	edges := []Edge{{0, 1}, {0, 1}}
 	walk, err := EulerCircuit(2, edges, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestEulerCircuitMultigraph(t *testing.T) {
 func TestEulerCircuitFigureEight(t *testing.T) {
 	// Two triangles sharing vertex 0: all even degrees.
 	edges := []Edge{
-		{0, 1, 1}, {1, 2, 1}, {2, 0, 1},
-		{0, 3, 1}, {3, 4, 1}, {4, 0, 1},
+		{0, 1}, {1, 2}, {2, 0},
+		{0, 3}, {3, 4}, {4, 0},
 	}
 	walk, err := EulerCircuit(5, edges, 0)
 	if err != nil {
@@ -72,20 +72,20 @@ func TestEulerCircuitFigureEight(t *testing.T) {
 }
 
 func TestEulerCircuitRejectsOddDegree(t *testing.T) {
-	if _, err := EulerCircuit(3, []Edge{{0, 1, 1}, {1, 2, 1}}, 0); err == nil {
+	if _, err := EulerCircuit(3, []Edge{{0, 1}, {1, 2}}, 0); err == nil {
 		t.Fatal("odd-degree graph accepted")
 	}
 }
 
 func TestEulerCircuitRejectsDisconnected(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {0, 1, 1}, {2, 3, 1}, {2, 3, 1}}
+	edges := []Edge{{0, 1}, {0, 1}, {2, 3}, {2, 3}}
 	if _, err := EulerCircuit(4, edges, 0); err == nil {
 		t.Fatal("disconnected edge set accepted")
 	}
 }
 
 func TestEulerCircuitRejectsIsolatedStart(t *testing.T) {
-	edges := []Edge{{1, 2, 1}, {1, 2, 1}}
+	edges := []Edge{{1, 2}, {1, 2}}
 	if _, err := EulerCircuit(3, edges, 0); err == nil {
 		t.Fatal("edge-free start accepted")
 	}
@@ -121,7 +121,7 @@ func TestEulerCircuitRandomEvenGraphs(t *testing.T) {
 			k := 3 + s.Intn(n-3)
 			cyc := perm[:k]
 			for i := 0; i < k; i++ {
-				edges = append(edges, Edge{cyc[i], cyc[(i+1)%k], 1})
+				edges = append(edges, Edge{cyc[i], cyc[(i+1)%k]})
 			}
 		}
 		walk, err := EulerCircuit(n, edges, 0)

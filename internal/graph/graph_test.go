@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -12,43 +14,24 @@ import (
 func line(n int) *Graph {
 	g := New(n)
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1, 1)
-	}
-	return g
-}
-
-// randomGraph returns a random graph on n vertices where each pair is
-// joined with probability p and a uniform weight in [1, 10).
-func randomGraph(s *rng.Source, n int, p float64) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if s.Bool(p) {
-				g.AddEdge(i, j, s.Uniform(1, 10))
-			}
-		}
+		g.AddEdge(i, i+1)
 	}
 	return g
 }
 
 func TestGraphBasics(t *testing.T) {
 	g := New(4)
-	g.AddEdge(0, 1, 2.5)
-	g.AddEdge(1, 2, 1.5)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || g.HasEdge(0, 2) {
-		t.Fatal("HasEdge wrong")
-	}
-	if g.Degree(1) != 2 || g.Degree(3) != 0 {
-		t.Fatal("Degree wrong")
-	}
-	if got := g.TotalWeight(); got != 4 {
-		t.Fatalf("TotalWeight = %v", got)
-	}
-	if len(g.Edges()) != 2 {
-		t.Fatal("Edges wrong")
+	// Each edge is stored once in each endpoint's list.
+	want := [][]int{{1}, {0, 2}, {1}, nil}
+	for v := range want {
+		if !slices.Equal(g.adj[v], want[v]) {
+			t.Fatalf("adj[%d] = %v, want %v", v, g.adj[v], want[v])
+		}
 	}
 }
 
@@ -58,7 +41,7 @@ func TestSelfLoopPanics(t *testing.T) {
 			t.Fatal("self-loop did not panic")
 		}
 	}()
-	New(3).AddEdge(1, 1, 1)
+	New(3).AddEdge(1, 1)
 }
 
 func TestVertexRangePanics(t *testing.T) {
@@ -67,7 +50,7 @@ func TestVertexRangePanics(t *testing.T) {
 			t.Fatal("out-of-range vertex did not panic")
 		}
 	}()
-	New(3).AddEdge(0, 3, 1)
+	New(3).AddEdge(0, 3)
 }
 
 func TestBFSLine(t *testing.T) {
@@ -78,30 +61,23 @@ func TestBFSLine(t *testing.T) {
 			t.Fatalf("Dist[%d] = %d", i, r.Dist[i])
 		}
 	}
-	path := r.PathTo(4)
-	want := []int{0, 1, 2, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("PathTo(4) = %v", path)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("PathTo(4) = %v", path)
+	// The parent pointers walk back along the line to the source.
+	for i := 0; i < 5; i++ {
+		if r.Parent[i] != i-1 {
+			t.Fatalf("Parent[%d] = %d, want %d", i, r.Parent[i], i-1)
 		}
-	}
-	if r.MaxDist() != 4 {
-		t.Fatalf("MaxDist = %d", r.MaxDist())
 	}
 }
 
 func TestBFSDisconnected(t *testing.T) {
 	g := New(4)
-	g.AddEdge(0, 1, 1)
+	g.AddEdge(0, 1)
 	r := BFS(g, 0)
-	if r.Reached(2) || r.Reached(3) {
+	if r.Dist[2] != -1 || r.Dist[3] != -1 {
 		t.Fatal("unreachable vertices reported reached")
 	}
-	if r.PathTo(2) != nil {
-		t.Fatal("PathTo unreachable should be nil")
+	if r.Parent[2] != -1 || r.Parent[3] != -1 {
+		t.Fatal("unreachable vertices have parents")
 	}
 }
 
@@ -124,77 +100,8 @@ func TestMultiBFSDuplicateSources(t *testing.T) {
 	}
 }
 
-func TestDijkstraVsBFSOnUnitWeights(t *testing.T) {
-	s := rng.New(40)
-	for trial := 0; trial < 20; trial++ {
-		g := New(30)
-		for i := 0; i < 30; i++ {
-			for j := i + 1; j < 30; j++ {
-				if s.Bool(0.1) {
-					g.AddEdge(i, j, 1)
-				}
-			}
-		}
-		bfs := BFS(g, 0)
-		dij := Dijkstra(g, 0)
-		for v := 0; v < 30; v++ {
-			if bfs.Reached(v) != dij.Reached(v) {
-				t.Fatalf("reachability disagrees at %d", v)
-			}
-			if bfs.Reached(v) && float64(bfs.Dist[v]) != dij.Dist[v] {
-				t.Fatalf("unit-weight distance disagrees at %d: %d vs %v", v, bfs.Dist[v], dij.Dist[v])
-			}
-		}
-	}
-}
-
-func TestDijkstraKnownGraph(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 4)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(2, 1, 2)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(2, 3, 5)
-	r := Dijkstra(g, 0)
-	want := []float64{0, 3, 1, 4, math.Inf(1)}
-	for i, w := range want {
-		if r.Dist[i] != w {
-			t.Fatalf("Dist[%d] = %v, want %v", i, r.Dist[i], w)
-		}
-	}
-	path := r.PathTo(3)
-	wantPath := []int{0, 2, 1, 3}
-	for i := range wantPath {
-		if path[i] != wantPath[i] {
-			t.Fatalf("PathTo(3) = %v", path)
-		}
-	}
-}
-
-// Property: Dijkstra distances satisfy the triangle inequality over edges:
-// dist[v] <= dist[u] + w(u,v) for every edge.
-func TestQuickDijkstraRelaxed(t *testing.T) {
-	s := rng.New(41)
-	f := func() bool {
-		g := randomGraph(s, 2+s.Intn(40), 0.15)
-		r := Dijkstra(g, 0)
-		for _, e := range g.Edges() {
-			if r.Dist[e.V] > r.Dist[e.U]+e.W+1e-9 || r.Dist[e.U] > r.Dist[e.V]+e.W+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(6)
-	if uf.Sets() != 6 {
-		t.Fatal("initial set count wrong")
-	}
 	if !uf.Union(0, 1) || !uf.Union(2, 3) || uf.Union(0, 1) {
 		t.Fatal("Union return values wrong")
 	}
@@ -205,44 +112,76 @@ func TestUnionFind(t *testing.T) {
 	if !uf.Connected(0, 2) {
 		t.Fatal("transitive connection missing")
 	}
-	if uf.Sets() != 3 { // {0,1,2,3}, {4}, {5}
-		t.Fatalf("Sets = %d", uf.Sets())
+	// {0,1,2,3}, {4}, {5}
+	if uf.Connected(3, 4) || uf.Connected(4, 5) || uf.Union(0, 3) {
+		t.Fatal("sets merged beyond {0,1,2,3}")
 	}
 }
 
+// kruskalMST is the MST weight of the complete graph on n vertices by
+// Kruskal's algorithm, the oracle CompleteEuclideanMST's dense Prim is
+// checked against.
+func kruskalMST(n int, dist func(i, j int) float64) float64 {
+	type edge struct {
+		u, v int
+		w    float64
+	}
+	var all []edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			all = append(all, edge{u, v, dist(u, v)})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].w < all[j].w })
+	uf := NewUnionFind(n)
+	total := 0.0
+	for _, e := range all {
+		if uf.Union(e.u, e.v) {
+			total += e.w
+		}
+	}
+	return total
+}
+
+// matrixDist returns the distance function of a weight matrix.
+func matrixDist(w [][]float64) func(i, j int) float64 {
+	return func(i, j int) float64 { return w[i][j] }
+}
+
 func TestMSTKnown(t *testing.T) {
-	// Square with diagonal: MST weight = 1+1+1 = 3.
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(3, 0, 2)
-	g.AddEdge(0, 2, 3)
-	edges, total := MST(g)
-	if len(edges) != 3 || total != 3 {
-		t.Fatalf("MST total = %v with %d edges", total, len(edges))
+	// Square with diagonal 0-2 and no edge 1-3: MST weight = 1+1+1 = 3.
+	inf := math.Inf(1)
+	w := [][]float64{
+		{0, 1, 3, 2},
+		{1, 0, 1, inf},
+		{3, 1, 0, 1},
+		{2, inf, 1, 0},
+	}
+	parent, total := CompleteEuclideanMST(4, matrixDist(w))
+	if want := []int{-1, 0, 1, 2}; total != 3 || !slices.Equal(parent, want) {
+		t.Fatalf("MST total = %v, parents %v; want 3, %v", total, parent, want)
 	}
 }
 
 func TestMSTMatchesKruskal(t *testing.T) {
 	s := rng.New(42)
 	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(s, 3+s.Intn(50), 0.3)
-		_, prim := MST(g)
-		_, kruskal := KruskalMST(g)
+		n := 3 + s.Intn(50)
+		w := make([][]float64, n)
+		for i := range w {
+			w[i] = make([]float64, n)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				w[i][j] = s.Uniform(1, 10)
+				w[j][i] = w[i][j]
+			}
+		}
+		_, prim := CompleteEuclideanMST(n, matrixDist(w))
+		kruskal := kruskalMST(n, matrixDist(w))
 		if math.Abs(prim-kruskal) > 1e-9 {
 			t.Fatalf("Prim %v != Kruskal %v", prim, kruskal)
 		}
-	}
-}
-
-func TestMSTForest(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 2) // two components + isolated vertex 4
-	edges, total := MST(g)
-	if len(edges) != 2 || total != 3 {
-		t.Fatalf("forest MST = %v edges, total %v", len(edges), total)
 	}
 }
 
@@ -256,13 +195,7 @@ func TestCompleteEuclideanMSTMatchesSparse(t *testing.T) {
 			xs[i], ys[i] = s.Uniform(0, 100), s.Uniform(0, 100)
 		}
 		dist := func(i, j int) float64 { return math.Hypot(xs[i]-xs[j], ys[i]-ys[j]) }
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				g.AddEdge(i, j, dist(i, j))
-			}
-		}
-		_, want := MST(g)
+		want := kruskalMST(n, dist)
 		_, got := CompleteEuclideanMST(n, dist)
 		if math.Abs(got-want) > 1e-6 {
 			t.Fatalf("dense MST %v != sparse MST %v", got, want)
@@ -272,9 +205,9 @@ func TestCompleteEuclideanMSTMatchesSparse(t *testing.T) {
 
 func TestComponents(t *testing.T) {
 	g := New(7)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(3, 4)
 	comps, comp := Components(g)
 	if len(comps) != 4 { // {0,1,2}, {3,4}, {5}, {6}
 		t.Fatalf("got %d components", len(comps))
@@ -282,22 +215,29 @@ func TestComponents(t *testing.T) {
 	if comp[0] != comp[2] || comp[0] == comp[3] || comp[5] == comp[6] {
 		t.Fatal("component labels wrong")
 	}
-	if IsConnected(g) {
-		t.Fatal("disconnected graph reported connected")
-	}
-	if !IsConnected(line(5)) {
-		t.Fatal("line reported disconnected")
+	if comps, _ := Components(line(5)); len(comps) != 1 {
+		t.Fatalf("line split into %d components", len(comps))
 	}
 }
 
-// Property: MST edge count equals N - #components.
+// Property: the MST of a complete graph has N-1 edges, all hanging off
+// the tree rooted at vertex 0.
 func TestQuickMSTEdgeCount(t *testing.T) {
 	s := rng.New(44)
 	f := func() bool {
-		g := randomGraph(s, 2+s.Intn(40), 0.1)
-		comps, _ := Components(g)
-		edges, _ := MST(g)
-		return len(edges) == g.N()-len(comps)
+		n := 2 + s.Intn(40)
+		xs, ys := make([]float64, n), make([]float64, n)
+		for i := range xs {
+			xs[i], ys[i] = s.Uniform(0, 100), s.Uniform(0, 100)
+		}
+		parent, _ := CompleteEuclideanMST(n, func(i, j int) float64 { return math.Hypot(xs[i]-xs[j], ys[i]-ys[j]) })
+		edges := 0
+		for _, p := range parent {
+			if p >= 0 {
+				edges++
+			}
+		}
+		return edges == n-1 && len(NewTreeFromParents(0, parent).Preorder()) == n
 	}
 	if err := quick.Check(func(uint8) bool { return f() }, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -326,71 +266,21 @@ func TestTreePreorderAndDepths(t *testing.T) {
 			t.Fatalf("child %d precedes parent %d in %v", v, p, order)
 		}
 	}
-	d := tr.Depths()
-	wantD := []int{0, 1, 1, 2, 2, 2}
-	for i := range wantD {
-		if d[i] != wantD[i] {
-			t.Fatalf("Depths = %v", d)
-		}
-	}
-	sz := tr.SubtreeSizes()
-	wantSz := []int{6, 2, 3, 1, 1, 1}
-	for i := range wantSz {
-		if sz[i] != wantSz[i] {
-			t.Fatalf("SubtreeSizes = %v", sz)
-		}
-	}
-}
-
-func TestMSTTree(t *testing.T) {
-	edges := []Edge{{0, 1, 1}, {1, 2, 1}, {3, 4, 1}}
-	tr := MSTTree(5, edges, 0)
-	if tr.Parent[1] != 0 || tr.Parent[2] != 1 {
-		t.Fatalf("Parent = %v", tr.Parent)
-	}
-	if tr.Parent[3] != -1 || tr.Parent[4] != -1 {
-		t.Fatal("other component should be absent")
-	}
-	if got := len(tr.Preorder()); got != 3 {
-		t.Fatalf("Preorder covers %d vertices, want 3", got)
-	}
-}
-
-func TestIndexedHeapOrdering(t *testing.T) {
-	h := newIndexedHeap(10)
-	prios := []float64{5, 3, 8, 1, 9, 2}
-	for i, p := range prios {
-		h.push(i, p)
-	}
-	h.push(2, 0.5) // decrease-key
-	h.push(4, 100) // increase ignored
-	var got []float64
-	for h.len() > 0 {
-		_, p := h.pop()
-		got = append(got, p)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("heap pops out of order: %v", got)
-		}
-	}
-	if got[0] != 0.5 {
-		t.Fatalf("decrease-key not honoured: %v", got)
-	}
-}
-
-func BenchmarkDijkstra(b *testing.B) {
-	g := randomGraph(rng.New(1), 500, 0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Dijkstra(g, 0)
+	// Depth first, first child first.
+	if want := []int{0, 1, 3, 2, 4, 5}; !slices.Equal(order, want) {
+		t.Fatalf("Preorder = %v, want %v", order, want)
 	}
 }
 
 func BenchmarkMST(b *testing.B) {
-	g := randomGraph(rng.New(2), 500, 0.05)
+	s := rng.New(2)
+	xs, ys := make([]float64, 500), make([]float64, 500)
+	for i := range xs {
+		xs[i], ys[i] = s.Uniform(0, 100), s.Uniform(0, 100)
+	}
+	dist := func(i, j int) float64 { return math.Hypot(xs[i]-xs[j], ys[i]-ys[j]) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MST(g)
+		CompleteEuclideanMST(len(xs), dist)
 	}
 }

@@ -1,8 +1,8 @@
 package graph
 
 // Tree is a rooted tree over dense integer vertices, stored as parent
-// pointers plus child lists. The TSP double-tree approximation and the
-// routing layer's shortest-path trees both use it.
+// pointers plus child lists. The capacitated planner walks its routing
+// trees with it.
 type Tree struct {
 	Root     int
 	Parent   []int   // Parent[Root] == -1; -1 also marks vertices outside the tree
@@ -10,8 +10,8 @@ type Tree struct {
 }
 
 // NewTreeFromParents builds a Tree from a parent-pointer array, e.g. the
-// Parent field of a BFS or Dijkstra result. Vertices with Parent -1 other
-// than the root are treated as absent (useful for forests restricted to one
+// Parent field of a BFS result. Vertices with Parent -1 other than the
+// root are treated as absent (useful for forests restricted to one
 // component).
 func NewTreeFromParents(root int, parent []int) *Tree {
 	t := &Tree{Root: root, Parent: parent, Children: make([][]int, len(parent))}
@@ -41,67 +41,4 @@ func (t *Tree) Preorder() []int {
 		}
 	}
 	return out
-}
-
-// Depths returns each vertex's hop depth below the root (-1 for vertices
-// outside the tree).
-func (t *Tree) Depths() []int {
-	d := make([]int, len(t.Parent))
-	for i := range d {
-		d[i] = -1
-	}
-	d[t.Root] = 0
-	for _, v := range t.Preorder() {
-		if v != t.Root {
-			d[v] = d[t.Parent[v]] + 1
-		}
-	}
-	return d
-}
-
-// SubtreeSizes returns, for every vertex in the tree, the size of its
-// subtree including itself (0 for vertices outside the tree). The routing
-// layer uses this as the per-node relay load: a sensor forwards one packet
-// per round for every descendant in the routing tree.
-func (t *Tree) SubtreeSizes() []int {
-	order := t.Preorder()
-	size := make([]int, len(t.Parent))
-	for _, v := range order {
-		size[v] = 1
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := t.Parent[v]; p >= 0 {
-			size[p] += size[v]
-		}
-	}
-	return size
-}
-
-// MSTTree roots the spanning forest edges at root and returns the tree of
-// root's component. Vertices in other components are absent (Parent -1).
-func MSTTree(n int, edges []Edge, root int) *Tree {
-	adj := make([][]int, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	seen := make([]bool, n)
-	seen[root] = true
-	queue := []int{root}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				parent[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	return NewTreeFromParents(root, parent)
 }

@@ -173,7 +173,7 @@ func TestDeployAroundAvoidsObstacles(t *testing.T) {
 		if course.Inside(node.Pos) {
 			t.Fatalf("sensor %d inside an obstacle", i)
 		}
-		if !nw.Field.Contains(node.Pos) {
+		if node.Pos != nw.Field.Clamp(node.Pos) {
 			t.Fatalf("sensor %d left the field", i)
 		}
 	}

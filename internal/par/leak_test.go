@@ -19,8 +19,6 @@ func TestPoolOperationsLeakNoGoroutines(t *testing.T) {
 			p.ForEach(257, func(int) {})
 			p.ForChunks(99, func(lo, hi int) {})
 			_ = par.MapChunks(p, 99, func(lo, hi int) int { return hi - lo })
-			_ = par.Reduce(p, 500, func(i int) float64 { return float64(i) }, 0.0,
-				func(acc, v float64) float64 { return acc + v })
 		})
 	}
 }

@@ -6,17 +6,15 @@
 // determinism gate: a fixed seed must reproduce every output byte. Free-form
 // goroutine fan-out breaks that the moment completion order leaks into the
 // result (append order, first-wins reductions, shared RNG draws). This
-// package confines parallelism to three shapes that cannot leak:
+// package confines parallelism to two shapes that cannot leak:
 //
 //   - Fixed chunking: ForChunks splits [0, n) into at most Size contiguous
 //     chunks. Work item i always receives the same index regardless of how
 //     chunks are scheduled, so per-index outputs are schedule-independent.
-//   - Ordered reduction: Map writes result i into slot i and Reduce folds
-//     the slots in strict index order, so even non-associative reductions
-//     (float sums, first-improvement argmins) match the sequential fold.
-//   - Seed splitting: Streams derives one rng substream per work item from
-//     a single parent before any goroutine starts, so item i sees the same
-//     draws whether it runs on one worker or sixteen.
+//   - Ordered results: Map writes result i into slot i and MapChunks writes
+//     chunk c's result into slot c, so a caller folding the slots in index
+//     order reproduces the sequential fold even for non-associative
+//     reductions (float sums, first-improvement argmins).
 //
 // The contract every caller relies on (and the equivalence tests enforce):
 // for a pure fn, any two pools produce identical results — Workers(1) is
@@ -26,8 +24,6 @@ package par
 import (
 	"runtime"
 	"sync"
-
-	"mobicol/internal/rng"
 )
 
 // Pool is a degree of parallelism. The zero value runs everything
@@ -130,32 +126,4 @@ func MapChunks[T any](p Pool, n int, fn func(lo, hi int) T) []T {
 	}
 	w := min(p.Size(), n)
 	return Map(p, w, func(c int) T { return fn(c*n/w, (c+1)*n/w) })
-}
-
-// Reduce computes fn(i) for every i in [0, n) across the pool, then folds
-// the results sequentially in strict index order. The ordered fold makes
-// non-associative reductions — float sums, tie-breaking argmins — match the
-// single-threaded loop exactly.
-func Reduce[T, A any](p Pool, n int, fn func(i int) T, init A, fold func(acc A, v T) A) A {
-	acc := init
-	for _, v := range Map(p, n, fn) {
-		acc = fold(acc, v)
-	}
-	return acc
-}
-
-// Streams derives n independent rng substreams from seed via rng.Split.
-// The split sequence is drawn from a single parent before any parallel work
-// starts, so stream i is the same generator for every pool size — and for
-// every n: growing a fan-out never perturbs the streams of earlier items.
-func Streams(seed uint64, n int) []*rng.Source {
-	if n < 0 {
-		n = 0
-	}
-	parent := rng.New(seed)
-	out := make([]*rng.Source, n)
-	for i := range out {
-		out[i] = parent.Split()
-	}
-	return out
 }

@@ -16,6 +16,13 @@ import (
 	"mobicol/internal/wsn"
 )
 
+// subsetOf reports whether every element of a is in b.
+func subsetOf(a, b *bitset.Set) bool {
+	rest := a.Clone()
+	rest.AndNot(b)
+	return rest.Empty()
+}
+
 // dropRedundantOracle is the pre-cache fixed-point implementation, kept
 // verbatim: remove the first redundant stop, restart, repeat.
 func dropRedundantOracle(inst *cover.Instance, chosen *[]int) bool {
@@ -31,7 +38,7 @@ func dropRedundantOracle(inst *cover.Instance, chosen *[]int) bool {
 					rest.Or(covers[c])
 				}
 			}
-			if covers[cur[i]].SubsetOf(rest) {
+			if subsetOf(covers[cur[i]], rest) {
 				removeAt = i
 				break
 			}
@@ -118,7 +125,7 @@ func relocateStopsOracle(p *Problem, inst *cover.Instance, chosen []int) bool {
 			if c == chosen[i] {
 				continue
 			}
-			if !critical.SubsetOf(covers[c]) {
+			if !subsetOf(critical, covers[c]) {
 				continue
 			}
 			alt := inst.Candidates[c]

@@ -1,8 +1,6 @@
 package tsp
 
 import (
-	"math"
-
 	"mobicol/internal/geom"
 	"mobicol/internal/graph"
 )
@@ -16,43 +14,4 @@ func MSTLowerBound(pts []geom.Point) geom.Meters {
 	}
 	_, w := graph.CompleteEuclideanMST(len(pts), func(i, j int) float64 { return pts[i].Dist(pts[j]) })
 	return geom.Meters(w)
-}
-
-// OneTreeLowerBound returns the best 1-tree bound over all choices of the
-// special vertex: MST over the other n-1 points plus that vertex's two
-// cheapest edges. The 1-tree bound dominates the plain MST bound and is
-// what the experiment tables report as "LB".
-func OneTreeLowerBound(pts []geom.Point) geom.Meters {
-	n := len(pts)
-	if n < 3 {
-		return MSTLowerBound(pts)
-	}
-	best := 0.0
-	rest := make([]geom.Point, 0, n-1)
-	for special := 0; special < n; special++ {
-		rest = rest[:0]
-		for i, p := range pts {
-			if i != special {
-				rest = append(rest, p)
-			}
-		}
-		_, mst := graph.CompleteEuclideanMST(len(rest), func(i, j int) float64 { return rest[i].Dist(rest[j]) })
-		// Two cheapest edges from the special vertex.
-		e1, e2 := math.Inf(1), math.Inf(1)
-		for i, p := range pts {
-			if i == special {
-				continue
-			}
-			d := pts[special].Dist(p)
-			if d < e1 {
-				e1, e2 = d, e1
-			} else if d < e2 {
-				e2 = d
-			}
-		}
-		if b := mst + e1 + e2; b > best {
-			best = b
-		}
-	}
-	return geom.Meters(best)
 }

@@ -1,7 +1,6 @@
 package tsp
 
 import (
-	"math"
 	"sort"
 
 	"mobicol/internal/geom"
@@ -14,9 +13,10 @@ import (
 //
 // The matching is greedy (closest unmatched pairs first) rather than
 // minimum-weight, so the classic 1.5-approximation guarantee does not
-// carry over — but the 2-approximation of the double-tree bound still
-// holds empirically and the construction is typically several percent
-// shorter than DoubleTree because the Euler walk wastes no doubled edges.
+// carry over — but the 2-approximation of the double-tree bound (the
+// preorder walk of the MST) still holds empirically, and the
+// construction is typically several percent shorter than that walk
+// because the Euler walk wastes no doubled edges.
 func Christofides(pts []geom.Point) Tour {
 	n := len(pts)
 	if n <= 3 {
@@ -27,7 +27,7 @@ func Christofides(pts []geom.Point) Tour {
 	deg := make([]int, n)
 	for v, p := range parent {
 		if p >= 0 {
-			edges = append(edges, graph.Edge{U: p, V: v, W: pts[p].Dist(pts[v])})
+			edges = append(edges, graph.Edge{U: p, V: v})
 			deg[p]++
 			deg[v]++
 		}
@@ -56,14 +56,14 @@ func Christofides(pts []geom.Point) Tour {
 		if !matched[p.u] && !matched[p.v] {
 			matched[p.u] = true
 			matched[p.v] = true
-			edges = append(edges, graph.Edge{U: p.u, V: p.v, W: math.Sqrt(p.d)})
+			edges = append(edges, graph.Edge{U: p.u, V: p.v})
 		}
 	}
 	walk, err := graph.EulerCircuit(n, edges, 0)
 	if err != nil {
 		// Cannot happen: MST+matching has all-even degrees and is
-		// connected; fall back defensively.
-		return DoubleTree(pts)
+		// connected; fall back defensively to a valid tour.
+		return NearestNeighbor(pts, 0)
 	}
 	// Shortcut repeated vertices.
 	seen := make([]bool, n)

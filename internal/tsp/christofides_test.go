@@ -3,6 +3,8 @@ package tsp
 import (
 	"testing"
 
+	"mobicol/internal/geom"
+	"mobicol/internal/graph"
 	"mobicol/internal/rng"
 )
 
@@ -11,7 +13,7 @@ func TestChristofidesValidTours(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 10, 50, 150} {
 		pts := randPts(s, n, 200)
 		tour := Christofides(pts)
-		if err := tour.Validate(n); err != nil {
+		if err := tour.validate(n); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -49,7 +51,7 @@ func TestChristofidesUsuallyBeatsDoubleTree(t *testing.T) {
 	for trial := 0; trial < total; trial++ {
 		pts := randPts(s, 60, 200)
 		c := Christofides(pts).Length(pts)
-		d := DoubleTree(pts).Length(pts)
+		d := doubleTree(pts).Length(pts)
 		if c <= d+1e-9 {
 			wins++
 		}
@@ -63,7 +65,7 @@ func TestChristofidesDuplicatesAndCollinear(t *testing.T) {
 	pts := randPts(rng.New(94), 10, 50)
 	pts[3] = pts[7] // duplicate
 	tour := Christofides(pts)
-	if err := tour.Validate(len(pts)); err != nil {
+	if err := tour.validate(len(pts)); err != nil {
 		t.Fatal(err)
 	}
 	line := randPts(rng.New(95), 0, 0)
@@ -71,7 +73,19 @@ func TestChristofidesDuplicatesAndCollinear(t *testing.T) {
 		line = append(line, pts[0].Add(pts[1].Sub(pts[0]).Scale(float64(i))))
 	}
 	tour = Christofides(line)
-	if err := tour.Validate(len(line)); err != nil {
+	if err := tour.validate(len(line)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// doubleTree is the classic MST 2-approximation Christofides improves on:
+// walk a minimum spanning tree in preorder, shortcutting repeated
+// vertices. It is at most twice the optimal tour in any metric space.
+func doubleTree(pts []geom.Point) Tour {
+	n := len(pts)
+	if n <= 3 {
+		return trivialTour(n)
+	}
+	parent, _ := graph.CompleteEuclideanMST(n, func(i, j int) float64 { return pts[i].Dist(pts[j]) })
+	return Tour(graph.NewTreeFromParents(0, parent).Preorder())
 }

@@ -2,7 +2,6 @@ package tsp
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"mobicol/internal/geom"
@@ -50,21 +49,6 @@ func greedyListK(n int) int {
 		return n - 1
 	}
 	return neighborK
-}
-
-// GreedyEdge builds a tour by adding the shortest edges that keep degree
-// <= 2 and avoid premature subtours (the "greedy matching" construction;
-// typically a few percent shorter than nearest neighbour). The candidate
-// edges are every pair up to completeListsMax points and each point's
-// neighborK nearest above it; leftover path fragments are linked
-// nearest-first.
-func GreedyEdge(pts []geom.Point) Tour {
-	n := len(pts)
-	if n <= 3 {
-		return trivialTour(n)
-	}
-	t, _ := greedyEdgeSparse(pts, NeighborLists(pts, greedyListK(n), par.Pool{}), par.Pool{})
-	return t
 }
 
 // candEdge is one sparse greedy-edge candidate: u < v, w their squared
@@ -237,107 +221,4 @@ func mergeCandEdges(runs [][]candEdge) []candEdge {
 		runs = next
 	}
 	return runs[0]
-}
-
-// CheapestInsertion builds a tour by starting from the two closest points
-// and repeatedly inserting the point whose best insertion position costs
-// the least extra length.
-func CheapestInsertion(pts []geom.Point) Tour {
-	n := len(pts)
-	if n <= 3 {
-		return trivialTour(n)
-	}
-	// Seed with the closest pair.
-	bi, bj, best := 0, 1, math.Inf(1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := pts[i].Dist2(pts[j]); d < best {
-				bi, bj, best = i, j, d
-			}
-		}
-	}
-	tour := Tour{bi, bj}
-	in := make([]bool, n)
-	in[bi], in[bj] = true, true
-	for len(tour) < n {
-		bestPt, bestPos, bestCost := -1, -1, math.Inf(1)
-		for p := 0; p < n; p++ {
-			if in[p] {
-				continue
-			}
-			for i := 0; i < len(tour); i++ {
-				j := (i + 1) % len(tour)
-				cost := pts[tour[i]].Dist(pts[p]) + pts[p].Dist(pts[tour[j]]) - pts[tour[i]].Dist(pts[tour[j]])
-				if cost < bestCost {
-					bestPt, bestPos, bestCost = p, i+1, cost
-				}
-			}
-		}
-		tour = append(tour, 0)
-		copy(tour[bestPos+1:], tour[bestPos:])
-		tour[bestPos] = bestPt
-		in[bestPt] = true
-	}
-	return tour
-}
-
-// HullInsertion builds a tour starting from the convex hull of the points
-// (which every optimal Euclidean tour visits in hull order) and inserts
-// the interior points by cheapest insertion.
-func HullInsertion(pts []geom.Point) Tour {
-	n := len(pts)
-	if n <= 3 {
-		return trivialTour(n)
-	}
-	hull := geom.ConvexHull(pts)
-	if len(hull) < 3 {
-		return CheapestInsertion(pts)
-	}
-	// Map hull points back to indices (first match wins; duplicates are
-	// inserted later like interior points).
-	in := make([]bool, n)
-	var tour Tour
-	for _, hp := range hull {
-		for i, p := range pts {
-			if !in[i] && p.Eq(hp) {
-				tour = append(tour, i)
-				in[i] = true
-				break
-			}
-		}
-	}
-	for len(tour) < n {
-		bestPt, bestPos, bestCost := -1, -1, math.Inf(1)
-		for p := 0; p < n; p++ {
-			if in[p] {
-				continue
-			}
-			for i := 0; i < len(tour); i++ {
-				j := (i + 1) % len(tour)
-				cost := pts[tour[i]].Dist(pts[p]) + pts[p].Dist(pts[tour[j]]) - pts[tour[i]].Dist(pts[tour[j]])
-				if cost < bestCost {
-					bestPt, bestPos, bestCost = p, i+1, cost
-				}
-			}
-		}
-		tour = append(tour, 0)
-		copy(tour[bestPos+1:], tour[bestPos:])
-		tour[bestPos] = bestPt
-		in[bestPt] = true
-	}
-	return tour
-}
-
-// DoubleTree builds the classic MST 2-approximation: compute a minimum
-// spanning tree, walk it in preorder, and shortcut repeated vertices. The
-// result is guaranteed to be at most twice the optimal tour length in any
-// metric space.
-func DoubleTree(pts []geom.Point) Tour {
-	n := len(pts)
-	if n <= 3 {
-		return trivialTour(n)
-	}
-	parent, _ := graph.CompleteEuclideanMST(n, func(i, j int) float64 { return pts[i].Dist(pts[j]) })
-	tree := graph.NewTreeFromParents(0, parent)
-	return Tour(tree.Preorder())
 }

@@ -190,12 +190,12 @@ func greedyEdgeDenseOracle(pts []geom.Point) Tour {
 
 // TestGreedyEdgeMatchesDenseOracle pins the complete-list construction
 // to greedy matching over every edge: up to completeListsMax points,
-// GreedyEdge returns the dense oracle's exact tour.
+// greedy-edge returns the dense oracle's exact tour.
 func TestGreedyEdgeMatchesDenseOracle(t *testing.T) {
 	for n := 4; n <= completeListsMax; n++ {
 		for seed := uint64(1); seed <= 4; seed++ {
 			pts := randPts(rng.New(seed*1000+uint64(n)), n, 200)
-			if got, want := GreedyEdge(pts), greedyEdgeDenseOracle(pts); !slices.Equal(got, want) {
+			if got, want := greedyEdge(pts), greedyEdgeDenseOracle(pts); !slices.Equal(got, want) {
 				t.Fatalf("n=%d seed=%d: %v, want %v", n, seed, got, want)
 			}
 		}
@@ -301,7 +301,7 @@ func TestGreedyEdgeSparseMatchesOracle(t *testing.T) {
 			name, pts := set.name, set.pts
 			neigh := NeighborLists(pts, neighborK, par.Seq())
 			want := greedyEdgeSparseOracle(pts, neigh)
-			if err := want.Validate(n); err != nil {
+			if err := want.validate(n); err != nil {
 				t.Fatalf("%s n=%d: oracle: %v", name, n, err)
 			}
 			pairs := map[[2]int]bool{}
@@ -384,7 +384,7 @@ func TestSolveSharesSparseNeighborLists(t *testing.T) {
 	for _, n := range []int{13, 40, completeListsMax, 2348} {
 		for seed := uint64(31); seed < 33; seed++ {
 			pts := randPts(rng.New(seed), n, 2000)
-			want := GreedyEdge(pts)
+			want := greedyEdge(pts)
 			if n <= completeListsMax {
 				want = greedyEdgeDenseOracle(pts)
 			}
@@ -425,32 +425,6 @@ func TestSolveGreedyWorkLinear(t *testing.T) {
 	}
 }
 
-// TestSolveBestPoolEquivalence pins the tentpole contract for the
-// multistart layer: any pool size returns the identical tour.
-func TestSolveBestPoolEquivalence(t *testing.T) {
-	opts := DefaultOptions()
-	for _, n := range []int{40, 120} {
-		for seed := uint64(51); seed < 54; seed++ {
-			pts := randPts(rng.New(seed), n, 250)
-			seqTour := SolveBestPool(pts, opts, 8, seed, par.Seq())
-			parTour := SolveBestPool(pts, opts, 8, seed, par.Workers(8))
-			wrapped := SolveBest(pts, opts, 8, seed)
-			if len(seqTour) != len(parTour) || len(seqTour) != len(wrapped) {
-				t.Fatalf("n=%d seed=%d: tour lengths differ", n, seed)
-			}
-			for i := range seqTour {
-				if seqTour[i] != parTour[i] {
-					t.Fatalf("n=%d seed=%d: position %d: %d vs %d",
-						n, seed, i, parTour[i], seqTour[i])
-				}
-				if seqTour[i] != wrapped[i] {
-					t.Fatalf("n=%d seed=%d: SolveBest wrapper diverged at %d", n, seed, i)
-				}
-			}
-		}
-	}
-}
-
 // TestOrOptNeighborsNeverLengthens guards the new neighbour-restricted
 // pass: it must only ever shorten the tour and leave it a permutation.
 func TestOrOptNeighborsNeverLengthens(t *testing.T) {
@@ -459,9 +433,10 @@ func TestOrOptNeighborsNeverLengthens(t *testing.T) {
 		tour := NearestNeighbor(pts, 0)
 		neigh := NeighborLists(pts, neighborK, par.Pool{})
 		before := tour.Length(pts)
-		moves := OrOptNeighbors(pts, tour, neigh)
+		var sc Scratch
+		moves := sc.OrOpt(pts, tour, neigh)
 		after := tour.Length(pts)
-		if err := tour.Validate(len(pts)); err != nil {
+		if err := tour.validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if after > before+1e-9 {

@@ -229,7 +229,8 @@ func TwoOpt(pts []geom.Point, tour Tour) int {
 	if len(tour) < 4 {
 		return 0
 	}
-	return TwoOptNeighbors(pts, tour, NeighborLists(pts, neighborK, par.Pool{}))
+	var s Scratch
+	return s.TwoOpt(pts, tour, NeighborLists(pts, neighborK, par.Pool{}))
 }
 
 // NeighborLists builds the k-nearest candidate lists the improvement
@@ -257,18 +258,11 @@ func prefixLists(lists [][]int, k int) [][]int {
 	return out
 }
 
-// TwoOptNeighbors is TwoOpt over a caller-supplied neighbour list, so a
-// solver running several improvement passes builds the lists once and
-// shares them between TwoOpt and OrOptNeighbors. It builds fresh scratch
-// state per call; hot loops should hold a Scratch and call its TwoOpt.
-func TwoOptNeighbors(pts []geom.Point, tour Tour, neigh [][]int) int {
-	var s Scratch
-	return s.TwoOpt(pts, tour, neigh)
-}
-
-// TwoOpt is TwoOptNeighbors over caller-owned scratch state: the
+// TwoOpt is the 2-opt pass over caller-supplied neighbour lists and
+// caller-owned scratch state: a solver running several improvement passes
+// builds the lists once and shares them between TwoOpt and OrOpt, and the
 // steady-state pass allocates nothing once the buffers have grown to the
-// instance size. The move sequence is identical to TwoOptNeighbors.
+// instance size.
 //
 //mdglint:hotpath
 func (s *Scratch) TwoOpt(pts []geom.Point, tour Tour, neigh [][]int) int {
@@ -480,22 +474,16 @@ func OrOpt(pts []geom.Point, tour Tour) int {
 	return moves
 }
 
-// OrOptNeighbors is Or-opt restricted to candidate insertion points near
-// the segment endpoints, with don't-look bits: each point anchors segment
-// relocations, and points are re-examined only when a move touches them.
-// A good insertion splices the segment between stops a and b where a is
-// near the new head or b is near the new tail, so trying the tour edges on
-// both sides of each near neighbour of s0 and s1 covers (for either
-// orientation) the insertions the full scan would find. It returns the
-// number of improving moves applied.
-func OrOptNeighbors(pts []geom.Point, tour Tour, neigh [][]int) int {
-	var s Scratch
-	return s.OrOpt(pts, tour, neigh)
-}
-
-// OrOpt is OrOptNeighbors over caller-owned scratch state: the
-// steady-state pass allocates nothing once the buffers have grown to the
-// instance size. The move sequence is identical to OrOptNeighbors.
+// OrOpt is Or-opt restricted to candidate insertion points near the
+// segment endpoints, with don't-look bits, over caller-owned scratch
+// state: each point anchors segment relocations, and points are
+// re-examined only when a move touches them. A good insertion splices the
+// segment between stops a and b where a is near the new head or b is near
+// the new tail, so trying the tour edges on both sides of each near
+// neighbour of s0 and s1 covers (for either orientation) the insertions
+// the full scan would find. It returns the number of improving moves
+// applied; the steady-state pass allocates nothing once the buffers have
+// grown to the instance size.
 //
 //mdglint:hotpath
 func (s *Scratch) OrOpt(pts []geom.Point, tour Tour, neigh [][]int) int {

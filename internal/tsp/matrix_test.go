@@ -30,14 +30,14 @@ func TestSolveMatrixMatchesEuclideanQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tour.Validate(len(pts)); err != nil {
+		if err := tour.validate(len(pts)); err != nil {
 			t.Fatal(err)
 		}
 		opt, err := HeldKarp(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := MatrixLength(m, tour)
+		got := matrixLength(m, tour)
 		want := float64(opt.Length(pts))
 		if got < want-1e-9 {
 			t.Fatalf("matrix tour %v beat the optimum %v: impossible", got, want)
@@ -56,7 +56,7 @@ func TestSolveMatrixAgreesWithTourLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(MatrixLength(m, tour)-float64(tour.Length(pts))) > 1e-9 {
+	if math.Abs(matrixLength(m, tour)-float64(tour.Length(pts))) > 1e-9 {
 		t.Fatal("MatrixLength disagrees with Euclidean Length on a Euclidean matrix")
 	}
 }
@@ -75,11 +75,11 @@ func TestSolveMatrixNonEuclidean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tour.Validate(4); err != nil {
+	if err := tour.validate(4); err != nil {
 		t.Fatal(err)
 	}
 	// Optimal closed tour: 0-1-2-3-0 = 1+9+1+11 = 22.
-	if got := MatrixLength(m, tour); math.Abs(got-22) > 1e-9 {
+	if got := matrixLength(m, tour); math.Abs(got-22) > 1e-9 {
 		t.Fatalf("length %v, want 22", got)
 	}
 }
@@ -118,28 +118,32 @@ func TestSolveMatrixUnreachablePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tour.Validate(4); err != nil {
+	if err := tour.validate(4); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(MatrixLength(m, tour), 1) {
+	if !math.IsInf(matrixLength(m, tour), 1) {
 		t.Fatal("disconnected metric should yield infinite tour length")
 	}
 }
 
-func TestMatrixLengthDegenerate(t *testing.T) {
-	if MatrixLength(nil, Tour{}) != 0 {
-		t.Fatal("empty matrix length")
+// matrixLength returns the closed tour length under the matrix metric.
+func matrixLength(d [][]float64, tour Tour) float64 {
+	if len(tour) < 2 {
+		return 0
 	}
-	if MatrixLength([][]float64{{0}}, Tour{0}) != 0 {
-		t.Fatal("singleton matrix length")
+	total := 0.0
+	for i := range tour {
+		total += d[tour[i]][tour[(i+1)%len(tour)]]
 	}
+	return total
 }
 
-func TestTourPoints(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)}
-	got := (Tour{2, 0, 1}).Points(pts)
-	if !got[0].Eq(pts[2]) || !got[1].Eq(pts[0]) || !got[2].Eq(pts[1]) {
-		t.Fatalf("Points = %v", got)
+func TestMatrixLengthDegenerate(t *testing.T) {
+	if matrixLength(nil, Tour{}) != 0 {
+		t.Fatal("empty matrix length")
+	}
+	if matrixLength([][]float64{{0}}, Tour{0}) != 0 {
+		t.Fatal("singleton matrix length")
 	}
 }
 
@@ -150,9 +154,7 @@ func TestConstructionString(t *testing.T) {
 	}{
 		{ConstructNN, "nearest-neighbor"},
 		{ConstructGreedy, "greedy-edge"},
-		{ConstructCheapest, "cheapest-insertion"},
-		{ConstructHull, "hull-insertion"},
-		{ConstructDoubleTree, "double-tree"},
+		{ConstructChristofides, "christofides"},
 		{Construction(99), "Construction(99)"},
 	}
 	for _, tc := range names {

@@ -9,13 +9,13 @@ import (
 )
 
 // TestGreedyEdgeSparseValid pins the large-n construction path: with
-// k-nearest candidate lists, GreedyEdge must still emit a valid
+// k-nearest candidate lists, greedy-edge must still emit a valid
 // Hamiltonian cycle and stay competitive with nearest neighbour.
 func TestGreedyEdgeSparseValid(t *testing.T) {
 	n := 2548
 	pts := randPts(rng.New(3), n, 2000)
-	tour := GreedyEdge(pts)
-	if err := tour.Validate(n); err != nil {
+	tour := greedyEdge(pts)
+	if err := tour.validate(n); err != nil {
 		t.Fatalf("sparse greedy-edge: %v", err)
 	}
 	nn := NearestNeighbor(pts, 0)
@@ -33,7 +33,7 @@ func TestGreedyEdgeSparseMatchesDenseQuality(t *testing.T) {
 		pts := randPts(rng.New(seed), 600, 800)
 		dense := greedyEdgeDenseOracle(pts)
 		sparse, _ := greedyEdgeSparse(pts, NeighborLists(pts, neighborK, par.Pool{}), par.Pool{})
-		if err := sparse.Validate(len(pts)); err != nil {
+		if err := sparse.validate(len(pts)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if sparse.Length(pts) > dense.Length(pts)*1.08 {
@@ -51,7 +51,7 @@ func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 	for seed := uint64(21); seed < 25; seed++ {
 		pts := randPts(rng.New(seed), 150, 400)
 		neigh := NeighborLists(pts, neighborK, par.Pool{})
-		base := GreedyEdge(pts)
+		base := greedyEdge(pts)
 
 		full := slices.Clone(base)
 		seeded := slices.Clone(base)
@@ -74,7 +74,7 @@ func TestSeededMatchesFullWhenSeededEverywhere(t *testing.T) {
 func TestSeededEmptyIsNoop(t *testing.T) {
 	pts := randPts(rng.New(5), 80, 300)
 	neigh := NeighborLists(pts, neighborK, par.Pool{})
-	tour := GreedyEdge(pts)
+	tour := greedyEdge(pts)
 	before := slices.Clone(tour)
 	var s Scratch
 	if m := s.TwoOptSeeded(pts, tour, neigh, nil2()); m != 0 || !slices.Equal(tour, before) {
@@ -99,7 +99,7 @@ func TestSeededLocalises(t *testing.T) {
 	before := tour.Length(pts)
 	var s Scratch
 	s.TwoOptSeeded(pts, tour, neigh, []int{tour[10], tour[11]})
-	if err := tour.Validate(len(pts)); err != nil {
+	if err := tour.validate(len(pts)); err != nil {
 		t.Fatal(err)
 	}
 	if after := tour.Length(pts); after > before+1e-9 {

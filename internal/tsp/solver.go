@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"fmt"
+	"strconv"
 
 	"mobicol/internal/geom"
 	"mobicol/internal/obs"
@@ -16,12 +17,6 @@ const (
 	ConstructNN Construction = iota
 	// ConstructGreedy is greedy-edge matching.
 	ConstructGreedy
-	// ConstructCheapest is cheapest insertion.
-	ConstructCheapest
-	// ConstructHull is convex-hull + cheapest insertion.
-	ConstructHull
-	// ConstructDoubleTree is the MST 2-approximation.
-	ConstructDoubleTree
 	// ConstructChristofides is MST + odd-vertex matching + Euler walk.
 	ConstructChristofides
 )
@@ -33,16 +28,10 @@ func (c Construction) String() string {
 		return "nearest-neighbor"
 	case ConstructGreedy:
 		return "greedy-edge"
-	case ConstructCheapest:
-		return "cheapest-insertion"
-	case ConstructHull:
-		return "hull-insertion"
-	case ConstructDoubleTree:
-		return "double-tree"
 	case ConstructChristofides:
 		return "christofides"
 	default:
-		return fmt.Sprintf("Construction(%d)", int(c))
+		return "Construction(" + strconv.Itoa(int(c)) + ")"
 	}
 }
 
@@ -108,12 +97,6 @@ func Solve(pts []geom.Point, opts Options) Tour {
 		t = NearestNeighbor(pts, 0)
 	case ConstructGreedy:
 		t, greedyEdges = greedyEdgeSparse(pts, neigh, opts.Pool)
-	case ConstructCheapest:
-		t = CheapestInsertion(pts)
-	case ConstructHull:
-		t = HullInsertion(pts)
-	case ConstructDoubleTree:
-		t = DoubleTree(pts)
 	case ConstructChristofides:
 		t = Christofides(pts)
 	default:

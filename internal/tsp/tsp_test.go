@@ -1,11 +1,13 @@
 package tsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/par"
 	"mobicol/internal/rng"
 )
 
@@ -17,6 +19,25 @@ func randPts(s *rng.Source, n int, l float64) []geom.Point {
 	return pts
 }
 
+// validate checks that t is a permutation of [0, n): the tour-validity
+// oracle of these tests.
+func (t Tour) validate(n int) error {
+	if len(t) != n {
+		return fmt.Errorf("tsp: tour has %d stops, want %d", len(t), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range t {
+		if v < 0 || v >= n {
+			return fmt.Errorf("tsp: tour index %d out of range [0,%d)", v, n)
+		}
+		if seen[v] {
+			return fmt.Errorf("tsp: tour visits %d twice", v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 // square4 is a unit square whose optimal tour has length 4.
 var square4 = []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
 
@@ -25,16 +46,16 @@ func TestTourLengthAndValidate(t *testing.T) {
 	if got := tour.Length(square4); math.Abs(float64(got)-4) > 1e-12 {
 		t.Fatalf("Length = %v", got)
 	}
-	if err := tour.Validate(4); err != nil {
+	if err := tour.validate(4); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Tour{0, 1, 1, 3}).Validate(4); err == nil {
+	if err := (Tour{0, 1, 1, 3}).validate(4); err == nil {
 		t.Fatal("duplicate accepted")
 	}
-	if err := (Tour{0, 1, 2}).Validate(4); err == nil {
+	if err := (Tour{0, 1, 2}).validate(4); err == nil {
 		t.Fatal("short tour accepted")
 	}
-	if err := (Tour{0, 1, 2, 4}).Validate(4); err == nil {
+	if err := (Tour{0, 1, 2, 4}).validate(4); err == nil {
 		t.Fatal("out-of-range accepted")
 	}
 }
@@ -56,7 +77,7 @@ func TestRotateTo(t *testing.T) {
 	if tour[0] != 3 {
 		t.Fatalf("RotateTo: %v", tour)
 	}
-	if err := tour.Validate(4); err != nil {
+	if err := tour.validate(4); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(tour.Length(square4))-before) > 1e-12 {
@@ -78,11 +99,59 @@ type namedConstruction struct {
 func constructions() []namedConstruction {
 	return []namedConstruction{
 		{"nn", func(p []geom.Point) Tour { return NearestNeighbor(p, 0) }},
-		{"greedy", GreedyEdge},
-		{"cheapest", CheapestInsertion},
-		{"hull", HullInsertion},
-		{"dtree", DoubleTree},
+		{"greedy", greedyEdge},
+		{"christofides", Christofides},
 	}
+}
+
+// greedyEdge is the greedy-edge construction alone, over the candidate
+// lists Solve gives it.
+func greedyEdge(pts []geom.Point) Tour {
+	n := len(pts)
+	if n <= 3 {
+		return trivialTour(n)
+	}
+	t, _ := greedyEdgeSparse(pts, NeighborLists(pts, greedyListK(n), par.Pool{}), par.Pool{})
+	return t
+}
+
+// oneTreeLowerBound returns the best 1-tree bound over all choices of the
+// special vertex: MST over the other n-1 points plus that vertex's two
+// cheapest edges. It dominates the plain MST bound, so it brackets the
+// solver's tours more tightly.
+func oneTreeLowerBound(pts []geom.Point) geom.Meters {
+	n := len(pts)
+	if n < 3 {
+		return MSTLowerBound(pts)
+	}
+	best := 0.0
+	rest := make([]geom.Point, 0, n-1)
+	for special := 0; special < n; special++ {
+		rest = rest[:0]
+		for i, p := range pts {
+			if i != special {
+				rest = append(rest, p)
+			}
+		}
+		mst := float64(MSTLowerBound(rest))
+		// Two cheapest edges from the special vertex.
+		e1, e2 := math.Inf(1), math.Inf(1)
+		for i, p := range pts {
+			if i == special {
+				continue
+			}
+			d := pts[special].Dist(p)
+			if d < e1 {
+				e1, e2 = d, e1
+			} else if d < e2 {
+				e2 = d
+			}
+		}
+		if b := mst + e1 + e2; b > best {
+			best = b
+		}
+	}
+	return geom.Meters(best)
 }
 
 func TestConstructionsProduceValidTours(t *testing.T) {
@@ -92,7 +161,7 @@ func TestConstructionsProduceValidTours(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 5, 10, 40, 120} {
 			pts := randPts(s, n, 100)
 			tour := build(pts)
-			if err := tour.Validate(n); err != nil {
+			if err := tour.validate(n); err != nil {
 				t.Fatalf("%s n=%d: %v", name, n, err)
 			}
 		}
@@ -109,11 +178,13 @@ func TestConstructionsOnSquare(t *testing.T) {
 	}
 }
 
+// TestDoubleTreeWithinTwiceMST pins the doubleTree oracle, which
+// Christofides is compared against, to its 2·MST guarantee.
 func TestDoubleTreeWithinTwiceMST(t *testing.T) {
 	s := rng.New(51)
 	for trial := 0; trial < 20; trial++ {
 		pts := randPts(s, 5+s.Intn(80), 200)
-		tour := DoubleTree(pts)
+		tour := doubleTree(pts)
 		mst := MSTLowerBound(pts)
 		if got := tour.Length(pts); got > 2*mst+1e-9 {
 			t.Fatalf("double-tree %v exceeds 2*MST %v", got, 2*mst)
@@ -132,7 +203,7 @@ func TestTwoOptNeverIncreasesLength(t *testing.T) {
 		if after > before+1e-9 {
 			t.Fatalf("2-opt increased length %v -> %v", before, after)
 		}
-		if err := tour.Validate(len(pts)); err != nil {
+		if err := tour.validate(len(pts)); err != nil {
 			t.Fatalf("2-opt broke tour: %v", err)
 		}
 	}
@@ -149,7 +220,7 @@ func TestOrOptNeverIncreasesLength(t *testing.T) {
 		if after > before+1e-9 {
 			t.Fatalf("Or-opt increased length %v -> %v", before, after)
 		}
-		if err := tour.Validate(len(pts)); err != nil {
+		if err := tour.validate(len(pts)); err != nil {
 			t.Fatalf("Or-opt broke tour: %v", err)
 		}
 	}
@@ -174,7 +245,7 @@ func TestHeldKarpKnownOptimum(t *testing.T) {
 	if got := tour.Length(square4); math.Abs(float64(got)-4) > 1e-9 {
 		t.Fatalf("HeldKarp square length %v", got)
 	}
-	if err := tour.Validate(4); err != nil {
+	if err := tour.validate(4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -194,7 +265,7 @@ func TestHeldKarpMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := hk.Validate(n); err != nil {
+		if err := hk.validate(n); err != nil {
 			t.Fatal(err)
 		}
 		want := bruteForceOpt(pts)
@@ -255,7 +326,7 @@ func TestBranchBoundNodeCap(t *testing.T) {
 	if exact {
 		t.Fatal("capped search on 25 points claimed exactness")
 	}
-	if err := tour.Validate(25); err != nil {
+	if err := tour.validate(25); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -271,7 +342,7 @@ func TestLowerBoundsBelowOptimum(t *testing.T) {
 		}
 		optLen := opt.Length(pts)
 		mst := MSTLowerBound(pts)
-		oneTree := OneTreeLowerBound(pts)
+		oneTree := oneTreeLowerBound(pts)
 		if mst > optLen+1e-9 {
 			t.Fatalf("MST bound %v exceeds optimum %v", mst, optLen)
 		}
@@ -304,7 +375,7 @@ func TestSolveQualityOrdering(t *testing.T) {
 	pts := randPts(s, 80, 200)
 	nn := NearestNeighbor(pts, 0).Length(pts)
 	solved := Solve(pts, DefaultOptions()).Length(pts)
-	lb := OneTreeLowerBound(pts)
+	lb := oneTreeLowerBound(pts)
 	if solved > nn+1e-9 {
 		t.Fatalf("Solve (%v) worse than raw NN (%v)", solved, nn)
 	}
@@ -318,9 +389,9 @@ func TestSolveQualityOrdering(t *testing.T) {
 
 func TestSolveAllConstructions(t *testing.T) {
 	pts := randPts(rng.New(60), 50, 150)
-	for _, c := range []Construction{ConstructNN, ConstructGreedy, ConstructCheapest, ConstructHull, ConstructDoubleTree} {
+	for _, c := range []Construction{ConstructNN, ConstructGreedy, ConstructChristofides} {
 		tour := Solve(pts, Options{Construction: c, TwoOpt: true, OrOpt: true})
-		if err := tour.Validate(len(pts)); err != nil {
+		if err := tour.validate(len(pts)); err != nil {
 			t.Fatalf("%v: %v", c, err)
 		}
 	}
@@ -333,11 +404,11 @@ func TestQuickLocalSearchInvariants(t *testing.T) {
 	f := func() bool {
 		n := 4 + s.Intn(50)
 		pts := randPts(s, n, 120)
-		tour := GreedyEdge(pts)
+		tour := greedyEdge(pts)
 		before := tour.Length(pts)
 		TwoOpt(pts, tour)
 		OrOpt(pts, tour)
-		if tour.Validate(n) != nil {
+		if tour.validate(n) != nil {
 			return false
 		}
 		return tour.Length(pts) <= before+1e-9
@@ -352,7 +423,7 @@ func TestCollinearPoints(t *testing.T) {
 	for _, c := range constructions() {
 		name, build := c.name, c.build
 		tour := build(pts)
-		if err := tour.Validate(5); err != nil {
+		if err := tour.validate(5); err != nil {
 			t.Fatalf("%s collinear: %v", name, err)
 		}
 		// Optimal is out-and-back: length 8.
@@ -368,7 +439,7 @@ func TestDuplicatePoints(t *testing.T) {
 	for _, c := range constructions() {
 		name, build := c.name, c.build
 		tour := build(pts)
-		if err := tour.Validate(5); err != nil {
+		if err := tour.validate(5); err != nil {
 			t.Fatalf("%s duplicates: %v", name, err)
 		}
 	}

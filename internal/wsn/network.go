@@ -74,8 +74,7 @@ func (nw *Network) ensureIndex() *geom.GridIndex {
 }
 
 // Graph returns the unit-disk connectivity graph: vertices are sensors and
-// an edge joins every pair within transmission range. Edge weights are the
-// Euclidean distances; hop-count algorithms (BFS) ignore weights.
+// an edge joins every pair within transmission range.
 //
 //mdglint:allow-mut(idempotent lazy cache: the only write is the sync.Once-guarded publication of the unit-disk graph derived from immutable fields)
 func (nw *Network) Graph() *graph.Graph {
@@ -93,7 +92,7 @@ func (nw *Network) buildGraph() *graph.Graph {
 		buf = idx.Within(n.Pos, nw.Range, buf[:0])
 		for _, j := range buf {
 			if j > i { // add each pair once
-				g.AddEdge(i, j, n.Pos.Dist(nw.Nodes[j].Pos))
+				g.AddEdge(i, j)
 			}
 		}
 	}

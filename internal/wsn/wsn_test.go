@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mobicol/internal/geom"
+	"mobicol/internal/graph"
 	"mobicol/internal/rng"
 )
 
@@ -27,11 +28,14 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 }
 
+// hasEdge reports whether g joins u and v: one BFS hop apart.
+func hasEdge(g *graph.Graph, u, v int) bool { return graph.BFS(g, u).Dist[v] == 1 }
+
 func TestGraphIsUnitDisk(t *testing.T) {
 	// 0-1 within range; 2 isolated.
 	nw := New([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(50, 50)}, geom.Pt(0, 0), 12, geom.Square(60))
 	g := nw.Graph()
-	if !g.HasEdge(0, 1) || g.HasEdge(0, 2) || g.HasEdge(1, 2) {
+	if !hasEdge(g, 0, 1) || hasEdge(g, 0, 2) || hasEdge(g, 1, 2) {
 		t.Fatal("unit-disk edges wrong")
 	}
 }
@@ -40,11 +44,12 @@ func TestGraphMatchesBruteForce(t *testing.T) {
 	nw := MustDeploy(Config{N: 150, FieldSide: 200, Range: 30, Seed: 7})
 	g := nw.Graph()
 	for i := 0; i < nw.N(); i++ {
+		hops := graph.BFS(g, i).Dist
 		for j := i + 1; j < nw.N(); j++ {
 			inRange := nw.Nodes[i].Pos.Dist(nw.Nodes[j].Pos) <= nw.Range+geom.Eps
-			if g.HasEdge(i, j) != inRange {
+			if (hops[j] == 1) != inRange {
 				t.Fatalf("edge (%d,%d): graph says %v, geometry says %v",
-					i, j, g.HasEdge(i, j), inRange)
+					i, j, hops[j] == 1, inRange)
 			}
 		}
 	}
@@ -96,7 +101,7 @@ func TestDeployAllPlacementsInField(t *testing.T) {
 			t.Fatalf("%v: N = %d", p, nw.N())
 		}
 		for _, n := range nw.Nodes {
-			if !nw.Field.Contains(n.Pos) {
+			if n.Pos != nw.Field.Clamp(n.Pos) {
 				t.Fatalf("%v: node %d at %v outside field", p, n.ID, n.Pos)
 			}
 		}
